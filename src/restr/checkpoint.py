@@ -9,11 +9,15 @@ Layout (all integers little-endian):
 
 Values are stored as float32; training computes in float64, so a round trip
 is exact to one float32 rounding (<= ~6e-8 relative). Saving a just-loaded
-model reproduces the file byte for byte.
+model reproduces the file byte for byte. Version 2 stores each attention
+block's fused ``w_qkv``/``b_qkv``; version-1 files (per-head projections) are
+rejected. A save writes a temporary file and renames it over the target, so
+an interrupted save leaves the previous checkpoint intact.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -24,7 +28,7 @@ from .encoders import ModelConfig
 from .runconfig import model_config_from_text, serialize_model_config
 
 MAGIC = b"RSTR"
-VERSION = 1
+VERSION = 2
 
 
 class CheckpointError(RuntimeError):
@@ -58,7 +62,13 @@ def save_checkpoint(path, cfg: ModelConfig, params: RestrParams,
             chunks.append(_pack_blob(m))
         for v in opt_state["v"]:
             chunks.append(_pack_blob(v))
-    Path(path).write_bytes(b"".join(chunks))
+    target = Path(path)
+    tmp = target.with_name(target.name + ".tmp")
+    try:
+        tmp.write_bytes(b"".join(chunks))
+        os.replace(tmp, target)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 class _Reader:
@@ -89,7 +99,8 @@ def load_checkpoint(path) -> tuple[ModelConfig, RestrParams, dict | None]:
         raise CheckpointError(f"{p} is not a checkpoint (bad magic)")
     version = r.u32()
     if version != VERSION:
-        raise CheckpointError(f"unknown checkpoint version {version} in {p}")
+        raise CheckpointError(f"unsupported checkpoint version {version} in {p} "
+                              f"(this build reads version {VERSION})")
     cfg = model_config_from_text(r.take(r.u32()).decode("utf-8"))
 
     # Structure comes from the config; blobs overwrite the fresh parameters.

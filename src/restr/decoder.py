@@ -7,6 +7,9 @@ grid to pixel logits. The final linear produces one logit per pixel; no
 activation follows it. Upsampling is bilinear rather than nearest: nearest
 replication keeps every pixel of a patch identical through the pointwise
 layers, which caps mask quality at patch granularity.
+
+Every stage takes a batch: token tensors are (..., tokens, dim), and
+``forward`` runs B images with their expressions as one graph.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ class PredictionPair:
     ``pixel_logits`` is None only when the decoder was explicitly skipped
     (decoder-ablation runs)."""
 
-    patch_probs: Tensor  # (n_patches, 1), strictly inside (0, 1)
-    pixel_logits: Tensor | None  # (H, W, 1), unbounded
+    patch_probs: Tensor  # (B, n_patches, 1), strictly inside (0, 1)
+    pixel_logits: Tensor | None  # (B, H, W, 1), unbounded
 
 
 @dataclass
@@ -70,38 +73,34 @@ def init_decoder(rng: np.random.Generator, cfg: ModelConfig) -> DecoderParams:
 
 
 def patch_predict(z_v: Tensor, e_s: Tensor) -> Tensor:
-    """Sigmoid of the classifier inner product, normalized by sqrt(D)."""
-    if z_v.shape[1] != e_s.shape[1]:
+    """Sigmoid of the classifier inner product, normalized by sqrt(D):
+    (..., N, D) features and a (..., 1, D) classifier give (..., N, 1)."""
+    if z_v.shape[-1] != e_s.shape[-1]:
         raise ConfigError(f"feature width {z_v.shape} vs classifier {e_s.shape}")
-    d = z_v.shape[1]
+    d = z_v.shape[-1]
     return T.sigmoid(T.scale(T.matmul(z_v, T.transpose(e_s)), 1.0 / math.sqrt(d)))
 
 
 def mask_features(z_v: Tensor, patch_probs: Tensor) -> Tensor:
     """Scale each patch feature row by its predicted probability."""
-    if patch_probs.shape != (z_v.shape[0], 1):
+    if patch_probs.shape != z_v.shape[:-1] + (1,):
         raise ConfigError(f"mask shape {patch_probs.shape} does not match {z_v.shape}")
     return T.hadamard(z_v, patch_probs)
 
 
 def decode_pixels(z_v: Tensor, z_masked: Tensor, params: DecoderParams,
                   cfg: ModelConfig) -> Tensor:
-    """(n_patches, D) x 2 -> (H, W, 1) logits via K upsample/halve/GELU blocks."""
+    """(..., n_patches, D) x 2 -> (..., H, W, 1) logits via K
+    upsample/halve/GELU blocks; the linears act on the last (channel) axis."""
     if len(params.blocks) != cfg.decoder_blocks:
         raise ConfigError(f"decoder has {len(params.blocks)} blocks, "
                           f"config needs {cfg.decoder_blocks}")
     gh, gw = cfg.patch_grid
-    x = T.concat([z_v, z_masked], axis=1)
-    grid = T.reshape(x, (gh, gw, 2 * cfg.dim_fusion))
+    x = T.concat([z_v, z_masked], axis=-1)
+    grid = T.reshape(x, (*z_v.shape[:-2], gh, gw, 2 * cfg.dim_fusion))
     for w, b in params.blocks:
-        grid = T.upsample2x_bilinear(grid)
-        h, ww, c = grid.shape
-        flat = T.reshape(grid, (h * ww, c))
-        flat = T.gelu(T.matmul(flat, w) + b)
-        grid = T.reshape(flat, (h, ww, c // 2))
-    h, ww, c = grid.shape
-    logits = T.matmul(T.reshape(grid, (h * ww, c)), params.w_final) + params.b_final
-    return T.reshape(logits, (cfg.image_h, cfg.image_w, 1))
+        grid = T.gelu(T.matmul(T.upsample2x_bilinear(grid), w) + b)
+    return T.matmul(grid, params.w_final) + params.b_final
 
 
 @dataclass
@@ -128,11 +127,12 @@ def init_model(rng: np.random.Generator, cfg: ModelConfig) -> RestrParams:
                        decoder=init_decoder(rng, cfg))
 
 
-def forward(image: np.ndarray, token_ids: Sequence[int], params: RestrParams,
+def forward(images: np.ndarray, token_ids: Sequence[Sequence[int]], params: RestrParams,
             cfg: ModelConfig, sink_a: list | None = None,
             sink_b: list | None = None, with_pixels: bool = True) -> PredictionPair:
-    """Full pipeline: encode both modalities, fuse, classify patches, decode."""
-    z_v = vision_encode(image, params.vision, cfg)
+    """Full pipeline on a batch of (B, H, W, C) images, one expression each:
+    encode both modalities, fuse, classify patches, decode."""
+    z_v = vision_encode(images, params.vision, cfg)
     z_l = language_encode(token_ids, params.language, cfg)
     pv, pl = project(z_v, z_l, params.fusion)
     z_v_fused, e_s = fuse(pv, pl, params.fusion, sink_a, sink_b)

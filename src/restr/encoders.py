@@ -1,10 +1,10 @@
 """Vision and language encoders.
 
-The vision side splits the image into non-overlapping patches, embeds each
+The vision side splits each image into non-overlapping patches, embeds each
 with a linear projection, adds a learned positional table, and runs a
 transformer stack. The language side embeds token ids, adds a fixed
 sinusoidal positional table, and runs its own stack. Both stacks end with a
-terminal layer norm.
+terminal layer norm. Both encoders take a batch and return (B, tokens, dim).
 """
 
 from __future__ import annotations
@@ -106,13 +106,16 @@ class ModelConfig:
 
 
 def patchify(image: np.ndarray, patch_size: int) -> np.ndarray:
-    """(H, W, C) -> (N, P*P*C): row-major patch grid, row-major inside a patch."""
-    h, w, c = image.shape
+    """(..., H, W, C) -> (..., N, P*P*C): row-major patch grid, row-major
+    inside a patch; leading axes are a batch."""
+    *lead, h, w, c = image.shape
     p = patch_size
     if h % p or w % p:
         raise ConfigError(f"image {h}x{w} not divisible by patch size {p}")
-    grid = image.reshape(h // p, p, w // p, p, c).transpose(0, 2, 1, 3, 4)
-    return np.ascontiguousarray(grid.reshape(h // p * (w // p), p * p * c))
+    b = len(lead)
+    grid = image.reshape(*lead, h // p, p, w // p, p, c)
+    grid = grid.transpose(*range(b), b, b + 2, b + 1, b + 3, b + 4)
+    return np.ascontiguousarray(grid.reshape(*lead, h // p * (w // p), p * p * c))
 
 
 def unpatchify(patches: np.ndarray, h: int, w: int, c: int) -> np.ndarray:
@@ -169,15 +172,16 @@ def init_language(rng: np.random.Generator, cfg: ModelConfig) -> LanguageParams:
     )
 
 
-def vision_encode(image: np.ndarray, params: VisionParams, cfg: ModelConfig,
+def vision_encode(images: np.ndarray, params: VisionParams, cfg: ModelConfig,
                   attn_sink: list | None = None) -> Tensor:
-    """Image in [0, 1] -> patch features of shape (n_patches, dim_vision)."""
+    """(B, H, W, C) images in [0, 1] -> patch features (B, n_patches, dim_vision)."""
     expected = (cfg.image_h, cfg.image_w, cfg.channels)
-    if image.shape != expected:
-        raise ConfigError(f"image shape {image.shape} does not match config {expected}")
-    if image.min() < 0.0 or image.max() > 1.0:
+    if images.ndim != 4 or images.shape[1:] != expected:
+        raise ConfigError(f"image batch shape {images.shape} does not match "
+                          f"config (B, {expected[0]}, {expected[1]}, {expected[2]})")
+    if not ((images >= 0.0) & (images <= 1.0)).all():  # NaN fails both comparisons
         raise ValueError("image values must lie in [0, 1]")
-    patches = Tensor(patchify(image, cfg.patch_size))
+    patches = Tensor(patchify(images, cfg.patch_size))
     emb = T.matmul(patches, params.w_patch) + params.b_patch
     return encoder_stack(emb + params.pos, params.stack, attn_sink)
 
@@ -207,16 +211,15 @@ def pad_token_ids(token_ids: Sequence[int], cfg: ModelConfig) -> list[int]:
     return ids + [PAD_ID] * (cfg.max_tokens - len(ids))
 
 
-def language_encode(token_ids: Sequence[int], params: LanguageParams, cfg: ModelConfig,
-                    attn_sink: list | None = None) -> Tensor:
-    """Token ids -> features of shape (max_tokens, dim_language).
+def language_encode(token_ids: Sequence[Sequence[int]], params: LanguageParams,
+                    cfg: ModelConfig, attn_sink: list | None = None) -> Tensor:
+    """One id sequence per sample -> features (B, max_tokens, dim_language).
 
     Padding uses a learned PAD embedding; padded positions attend like any
     other token.
     """
-    ids = pad_token_ids(token_ids, cfg)
-    onehot = np.zeros((cfg.max_tokens, cfg.vocab_size))
-    onehot[np.arange(cfg.max_tokens), ids] = 1.0
+    ids = np.array([pad_token_ids(seq, cfg) for seq in token_ids], dtype=np.int64)
+    onehot = np.eye(cfg.vocab_size)[ids]
     emb = T.matmul(Tensor(onehot), params.embed)
     return encoder_stack(emb + Tensor(params.pos_table), params.stack, attn_sink)
 

@@ -2,7 +2,8 @@
 attention probing, and the params/MACs profiler.
 
 All variants share the same two projected inputs and the same parameter
-budget: two sub-encoders of ``fusion_layers/2`` blocks each.
+budget: two sub-encoders of ``fusion_layers/2`` blocks each. Token tensors are
+(..., tokens, dim); leading axes are a batch and the seed is broadcast over it.
 
 * CME: blocks run on [visual ++ linguistic]; the seed then joins the
   visually-attended linguistic tokens in the second sub-encoder.
@@ -18,7 +19,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -102,16 +103,22 @@ def project(z_v: Tensor, z_l: Tensor, params: FusionParams) -> tuple[Tensor, Ten
     return pv, pl
 
 
+def _seed_tokens(params: FusionParams, like: Tensor) -> Tensor:
+    """The class seed as one token per sample of ``like``: (..., 1, D)."""
+    return T.add(Tensor(np.zeros((*like.shape[:-2], 1, like.shape[-1]))), params.seed)
+
+
 def fuse_cme(z_v: Tensor, z_l: Tensor, params: FusionParams,
              sink_a: list | None = None, sink_b: list | None = None
              ) -> tuple[Tensor, Tensor, Tensor]:
     """Returns (patch features, adaptive classifier, attended linguistic features)."""
-    n_v, n_l = z_v.shape[0], z_l.shape[0]
-    joint = encoder_stack(T.concat([z_v, z_l], axis=0), params.stack_a, sink_a)
-    z_v_out = T.slice_axis(joint, 0, 0, n_v)
-    z_l_out = T.slice_axis(joint, 0, n_v, n_v + n_l)
-    seeded = encoder_stack(T.concat([z_l_out, params.seed], axis=0), params.stack_b, sink_b)
-    e_s_out = T.slice_axis(seeded, 0, n_l, n_l + 1)
+    n_v, n_l = z_v.shape[-2], z_l.shape[-2]
+    joint = encoder_stack(T.concat([z_v, z_l], axis=-2), params.stack_a, sink_a)
+    z_v_out = T.slice_axis(joint, -2, 0, n_v)
+    z_l_out = T.slice_axis(joint, -2, n_v, n_v + n_l)
+    seeded = encoder_stack(T.concat([z_l_out, _seed_tokens(params, z_l)], axis=-2),
+                           params.stack_b, sink_b)
+    e_s_out = T.slice_axis(seeded, -2, n_l, n_l + 1)
     return z_v_out, e_s_out, z_l_out
 
 
@@ -119,12 +126,12 @@ def fuse_vme(z_v: Tensor, z_l: Tensor, params: FusionParams,
              sink_a: list | None = None, sink_b: list | None = None
              ) -> tuple[Tensor, Tensor]:
     """All tokens run through both sub-encoders together: [z_v ++ z_l ++ seed]."""
-    n_v, n_l = z_v.shape[0], z_l.shape[0]
-    joint = T.concat([z_v, z_l, params.seed], axis=0)
+    n_v, n_l = z_v.shape[-2], z_l.shape[-2]
+    joint = T.concat([z_v, z_l, _seed_tokens(params, z_l)], axis=-2)
     h = encoder_stack(joint, params.stack_a, sink_a)
     h = encoder_stack(h, params.stack_b, sink_b)
-    z_v_out = T.slice_axis(h, 0, 0, n_v)
-    e_s_out = T.slice_axis(h, 0, n_v + n_l, n_v + n_l + 1)
+    z_v_out = T.slice_axis(h, -2, 0, n_v)
+    e_s_out = T.slice_axis(h, -2, n_v + n_l, n_v + n_l + 1)
     return z_v_out, e_s_out
 
 
@@ -132,11 +139,12 @@ def fuse_ime(z_v: Tensor, z_l: Tensor, params: FusionParams,
              sink_a: list | None = None, sink_b: list | None = None
              ) -> tuple[Tensor, Tensor]:
     """Seed leg consumes the raw projected linguistic tokens: no visual path."""
-    n_v, n_l = z_v.shape[0], z_l.shape[0]
-    joint = encoder_stack(T.concat([z_v, z_l], axis=0), params.stack_a, sink_a)
-    z_v_out = T.slice_axis(joint, 0, 0, n_v)
-    seeded = encoder_stack(T.concat([z_l, params.seed], axis=0), params.stack_b, sink_b)
-    e_s_out = T.slice_axis(seeded, 0, n_l, n_l + 1)
+    n_v, n_l = z_v.shape[-2], z_l.shape[-2]
+    joint = encoder_stack(T.concat([z_v, z_l], axis=-2), params.stack_a, sink_a)
+    z_v_out = T.slice_axis(joint, -2, 0, n_v)
+    seeded = encoder_stack(T.concat([z_l, _seed_tokens(params, z_l)], axis=-2),
+                           params.stack_b, sink_b)
+    e_s_out = T.slice_axis(seeded, -2, n_l, n_l + 1)
     return z_v_out, e_s_out
 
 
@@ -186,20 +194,13 @@ class AttnStats:
         return "\n".join(self.csv_rows())
 
 
-def _seed_row_splits(sinks: Sequence[tuple[list, int, int]]) -> list[list[np.ndarray]]:
-    """Per layer, per head: (a_v-or-nan, a_l, a_self) sums of the seed row."""
-    rows = []
-    for sink, n_v, n_l in sinks:
-        for block_heads in sink:
-            per_head = []
-            for attn in block_heads:
-                seed = attn[n_v + n_l]
-                a_v = float(seed[:n_v].sum()) if n_v else math.nan
-                a_l = float(seed[n_v:n_v + n_l].sum())
-                a_self = float(seed[n_v + n_l])
-                per_head.append(np.array([a_v, a_l, a_self]))
-            rows.append(per_head)
-    return rows
+def _seed_row_shares(attn: np.ndarray, n_v: int, n_l: int) -> np.ndarray:
+    """(a_v-or-nan, a_l, a_self) of the seed row of (..., H, N, N) attention,
+    averaged over every leading axis (samples and heads)."""
+    seed = attn[..., n_v + n_l, :].reshape(-1, attn.shape[-1])
+    a_v = seed[:, :n_v].sum(axis=1).mean() if n_v else math.nan
+    return np.array([a_v, seed[:, n_v:n_v + n_l].sum(axis=1).mean(),
+                     seed[:, n_v + n_l].mean()])
 
 
 def attention_probe(params, cfg: "ModelConfig",
@@ -210,45 +211,39 @@ def attention_probe(params, cfg: "ModelConfig",
     ``(image, token_ids)`` pairs (richer sample objects with ``.image`` and
     ``.token_ids`` attributes also work). Scores are softmax mass from the
     seed row, split into visual / linguistic / self segments, averaged over
-    heads and samples.
+    heads and samples. Samples run one at a time, which bounds the memory
+    of the attention arrays kept for the probe.
     """
     from .encoders import language_encode, vision_encode  # runtime import: encoders
     # imports FusionVariant from this module, so the top level must stay one-way
 
     fp: FusionParams = params.fusion
     totals: list[np.ndarray] | None = None
-    visual_flags: list[bool] = []
     n_samples = 0
     with T.no_grad():
         for sample in samples:
             image, ids = ((sample.image, sample.token_ids)
                           if hasattr(sample, "image") else sample)
-            z_v = vision_encode(image, params.vision, cfg)
-            z_l = language_encode(ids, params.language, cfg)
+            z_v = vision_encode(np.asarray(image)[None], params.vision, cfg)
+            z_l = language_encode([ids], params.language, cfg)
             pv, pl = project(z_v, z_l, fp)
             sink_a: list = []
             sink_b: list = []
             fuse(pv, pl, fp, sink_a, sink_b)
-            n_v, n_l = pv.shape[0], pl.shape[0]
+            n_v, n_l = pv.shape[-2], pl.shape[-2]
             if fp.variant is FusionVariant.VME:
-                layer_sinks = [(sink_a, n_v, n_l), (sink_b, n_v, n_l)]
+                shares = [_seed_row_shares(a, n_v, n_l) for a in sink_a + sink_b]
             else:
-                layer_sinks = [(sink_b, 0, n_l)]
-            split = _seed_row_splits(layer_sinks)
-            head_means = [np.mean(np.stack(per_head), axis=0) for per_head in split]
-            if totals is None:
-                totals = [np.zeros(3) for _ in head_means]
-                visual_flags = [not np.isnan(h[0]) for h in head_means]
-            for acc, h in zip(totals, head_means):
-                acc += np.nan_to_num(h)
+                shares = [_seed_row_shares(a, 0, n_l) for a in sink_b]
+            totals = shares if totals is None else [t + s for t, s in zip(totals, shares)]
             n_samples += 1
-    if not n_samples or totals is None:
+    if totals is None:
         raise ValueError("attention_probe needs at least one sample")
     layers = []
-    for i, (acc, has_v) in enumerate(zip(totals, visual_flags)):
-        mean = acc / n_samples
-        layers.append(LayerAttention(layer=i, a_v=float(mean[0]) if has_v else None,
-                                     a_l=float(mean[1]), a_self=float(mean[2])))
+    for i, acc in enumerate(totals):
+        a_v, a_l, a_self = acc / n_samples
+        layers.append(LayerAttention(layer=i, a_v=None if np.isnan(a_v) else float(a_v),
+                                     a_l=float(a_l), a_self=float(a_self)))
     return AttnStats(variant=fp.variant, layers=layers)
 
 

@@ -133,10 +133,10 @@ class EvalReport:
 def _predict_mask(args) -> np.ndarray:
     params, cfg, sample, use_decoder = args
     with T.no_grad():
-        pred = forward(np.asarray(sample.image), sample.token_ids, params, cfg,
+        pred = forward(np.asarray(sample.image)[None], [sample.token_ids], params, cfg,
                        with_pixels=use_decoder)
     if use_decoder:
-        return binarize(pred.pixel_logits.data)
+        return binarize(pred.pixel_logits.data[0])
     gh, gw = cfg.patch_grid
     blocks = (pred.patch_probs.data.reshape(gh, gw) >= 0.5).astype(np.uint8)
     return np.repeat(np.repeat(blocks, cfg.patch_size, 0), cfg.patch_size, 1)
@@ -145,8 +145,10 @@ def _predict_mask(args) -> np.ndarray:
 def predicted_masks(params, cfg, dataset: Sequence,
                     use_decoder: bool = True) -> list[np.ndarray]:
     """Binary masks for every sample; parallel when RESTR_THREADS > 1,
-    aggregated in dataset order either way. Without the decoder, the mask is
-    the thresholded patch prediction replicated to pixel resolution."""
+    aggregated in dataset order either way. Each sample is its own forward
+    (a batch of one), which keeps peak memory at one sample's activations.
+    Without the decoder, the mask is the thresholded patch prediction
+    replicated to pixel resolution."""
     jobs = [(params, cfg, s, use_decoder) for s in dataset]
     workers = worker_count()
     if workers > 1:

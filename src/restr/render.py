@@ -83,10 +83,8 @@ def patch_grid_image(patch_probs: np.ndarray, grid_hw: tuple[int, int],
     """(n_patches, 1) probabilities -> grayscale image upscaled by the patch size."""
     gh, gw = grid_hw
     grid = np.asarray(patch_probs).reshape(gh, gw)
-    gray = np.clip(np.rint(grid * 255.0), 0, 255)
-    for _ in range(int(round(np.log2(patch_size)))):
-        gray = T.upsample2x(T.Tensor(gray[:, :, None])).data[:, :, 0]
-    return gray.astype(np.uint8)
+    gray = np.clip(np.rint(grid * 255.0), 0, 255).astype(np.uint8)
+    return np.repeat(np.repeat(gray, patch_size, axis=0), patch_size, axis=1)
 
 
 def render_sample(params, cfg, sample, out_dir, sample_id: int) -> dict[str, Path]:
@@ -94,8 +92,8 @@ def render_sample(params, cfg, sample, out_dir, sample_id: int) -> dict[str, Pat
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with T.no_grad():
-        pred = forward(np.asarray(sample.image), sample.token_ids, params, cfg)
-    mask = binarize(pred.pixel_logits.data)
+        pred = forward(np.asarray(sample.image)[None], [sample.token_ids], params, cfg)
+    mask = binarize(pred.pixel_logits.data[0])
 
     paths = {
         "mask": out / f"{sample_id:04d}_mask.pgm",
@@ -103,7 +101,7 @@ def render_sample(params, cfg, sample, out_dir, sample_id: int) -> dict[str, Pat
         "overlay": out / f"{sample_id:04d}_overlay.ppm",
     }
     write_pgm(paths["mask"], mask * 255)
-    write_pgm(paths["patch"], patch_grid_image(pred.patch_probs.data,
+    write_pgm(paths["patch"], patch_grid_image(pred.patch_probs.data[0],
                                                cfg.patch_grid, cfg.patch_size))
     overlay = np.clip(np.rint(np.asarray(sample.image) * 255.0), 0, 255).astype(np.uint8)
     overlay[mask_boundary(mask)] = OVERLAY_COLOR

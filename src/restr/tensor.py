@@ -202,31 +202,54 @@ def backward(loss: Tensor) -> None:
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two 2-d tensors."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul needs 2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-    if _state.mac_counter is not None:
-        _state.mac_counter.macs += a.shape[0] * a.shape[1] * b.shape[1]
-    out_data = a.data @ b.data
+    """Matrix product over the last two axes; leading (batch) axes broadcast.
 
-    def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accum(a, g @ b.data.T)
-        if b.requires_grad:
-            _accum(b, a.data.T @ g)
+    A 2-d right operand (a weight) multiplies every row of ``a`` as one GEMM
+    over the flattened leading axes; its gradient is one GEMM as well.
+    """
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise ShapeError(f"matmul needs operands of at least 2-d, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
+    try:
+        lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    except ValueError:
+        raise ShapeError(f"matmul batch axes disagree: {a.shape} @ {b.shape}") from None
+    n, k, m = a.shape[-2], a.shape[-1], b.shape[-1]
+    if _state.mac_counter is not None:
+        _state.mac_counter.macs += math.prod(lead) * n * k * m
+
+    if b.data.ndim == 2:
+        out_data = (a.data.reshape(-1, k) @ b.data).reshape(a.shape[:-1] + (m,))
+
+        def bwd(g: np.ndarray) -> None:
+            g2 = g.reshape(-1, m)
+            if a.requires_grad:
+                _accum(a, (g2 @ b.data.T).reshape(a.shape))
+            if b.requires_grad:
+                _accum(b, a.data.reshape(-1, k).T @ g2)
+    else:
+        out_data = np.matmul(a.data, b.data)
+
+        def bwd(g: np.ndarray) -> None:
+            if a.requires_grad:
+                _accum(a, _reduce_to(np.matmul(g, b.data.swapaxes(-1, -2)), a.shape))
+            if b.requires_grad:
+                _accum(b, _reduce_to(np.matmul(a.data.swapaxes(-1, -2), g), b.shape))
 
     return _record("matmul", (a, b), out_data, bwd)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Softmax along ``axis`` with max-subtraction for overflow safety."""
+    """Softmax along ``axis`` with max-subtraction for overflow safety.
+
+    The output is the only array of the input's size that is allocated, which
+    bounds attention memory to the scores and their softmax."""
     if not -x.data.ndim <= axis < x.data.ndim:
         raise ShapeError(f"softmax axis {axis} invalid for shape {x.shape}")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = x.data - x.data.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
 
     def bwd(g: np.ndarray) -> None:
         if x.requires_grad:
@@ -265,65 +288,54 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tens
     return _record("layer_norm", (x, gain, bias), out_data, bwd)
 
 
-def _broadcast_axes(target: tuple[int, ...], src: tuple[int, ...]) -> tuple[int, ...]:
-    """Axes along which ``src`` (same rank) is broadcast up to ``target``."""
-    if len(target) != len(src):
-        raise ShapeError(f"elementwise operands need equal rank: {target} vs {src}")
-    axes = []
-    for i, (t, s) in enumerate(zip(target, src)):
-        if s == t:
-            continue
-        if s == 1:
-            axes.append(i)
-        else:
-            raise ShapeError(f"elementwise shapes incompatible: {target} vs {src}")
-    return tuple(axes)
+def _bcast_shape(sa: tuple[int, ...], sb: tuple[int, ...]) -> tuple[int, ...]:
+    """Broadcast shape of two elementwise operands.
+
+    Singleton axes broadcast, and an operand of lower rank broadcasts over the
+    other's leading (batch) axes. Such an operand must be at least 2-d, so a
+    vector never silently stretches across the rows of a matrix.
+    """
+    if len(sa) != len(sb) and min(len(sa), len(sb)) < 2:
+        raise ShapeError(f"elementwise operands of unequal rank need the smaller "
+                         f"to be at least 2-d: {sa} vs {sb}")
+    try:
+        return np.broadcast_shapes(sa, sb)
+    except ValueError:
+        raise ShapeError(f"elementwise shapes incompatible: {sa} vs {sb}") from None
 
 
 def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    axes = _broadcast_axes(g.shape, shape)
-    return g.sum(axis=axes, keepdims=True) if axes else g
-
-
-def _bcast_shape(sa: tuple[int, ...], sb: tuple[int, ...]) -> tuple[int, ...]:
-    if len(sa) != len(sb):
-        raise ShapeError(f"elementwise operands need equal rank: {sa} vs {sb}")
-    out = []
-    for a, b in zip(sa, sb):
-        if a == b or b == 1:
-            out.append(a)
-        elif a == 1:
-            out.append(b)
-        else:
-            raise ShapeError(f"elementwise shapes incompatible: {sa} vs {sb}")
-    return tuple(out)
+    """Sum ``g`` down to ``shape`` over the axes that broadcasting expanded."""
+    lead = g.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(lead + i for i, s in enumerate(shape)
+                                      if s == 1 and g.shape[lead + i] != 1)
+    return g.sum(axis=axes).reshape(shape) if axes else g
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; singleton axes of either operand broadcast."""
-    out_shape = _bcast_shape(a.shape, b.shape)
+    """Elementwise sum; operands broadcast as in :func:`_bcast_shape`."""
+    _bcast_shape(a.shape, b.shape)
     out_data = a.data + b.data
 
     def bwd(g: np.ndarray) -> None:
         if a.requires_grad:
-            _accum(a, _reduce_to(g, a.shape).reshape(a.shape))
+            _accum(a, _reduce_to(g, a.shape))
         if b.requires_grad:
-            _accum(b, _reduce_to(g, b.shape).reshape(b.shape))
+            _accum(b, _reduce_to(g, b.shape))
 
-    assert out_data.shape == out_shape
     return _record("add", (a, b), out_data, bwd)
 
 
 def hadamard(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product; singleton axes of either operand broadcast."""
+    """Elementwise product; operands broadcast as in :func:`_bcast_shape`."""
     _bcast_shape(a.shape, b.shape)
     out_data = a.data * b.data
 
     def bwd(g: np.ndarray) -> None:
         if a.requires_grad:
-            _accum(a, _reduce_to(g * b.data, a.shape).reshape(a.shape))
+            _accum(a, _reduce_to(g * b.data, a.shape))
         if b.requires_grad:
-            _accum(b, _reduce_to(g * a.data, b.shape).reshape(b.shape))
+            _accum(b, _reduce_to(g * a.data, b.shape))
 
     return _record("hadamard", (a, b), out_data, bwd)
 
@@ -339,13 +351,23 @@ def scale(x: Tensor, c: float) -> Tensor:
 
 def gelu(x: Tensor) -> Tensor:
     """Exact (erf-based) GELU."""
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
+    cdf = x.data * _INV_SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     out_data = x.data * cdf
 
     def bwd(g: np.ndarray) -> None:
         if x.requires_grad:
             xd = x.data
-            _accum(x, g * (cdf + xd * (_INV_SQRT2PI * np.exp(-0.5 * xd * xd))))
+            slope = xd * xd
+            slope *= -0.5
+            np.exp(slope, out=slope)
+            slope *= _INV_SQRT2PI
+            slope *= xd
+            slope += cdf
+            slope *= g
+            _accum(x, slope)
 
     return _record("gelu", (x,), out_data, bwd)
 
@@ -432,8 +454,9 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
 
 
 def transpose(x: Tensor, axes: Sequence[int] | None = None) -> Tensor:
+    """Permute axes; by default swap the last two (a batch of matrix transposes)."""
     if axes is None:
-        axes = tuple(reversed(range(x.data.ndim)))
+        axes = tuple(range(x.data.ndim - 2)) + (x.data.ndim - 1, x.data.ndim - 2)
     axes = tuple(axes)
     inv = np.argsort(axes)
     out_data = x.data.transpose(axes)
@@ -443,20 +466,6 @@ def transpose(x: Tensor, axes: Sequence[int] | None = None) -> Tensor:
             _accum(x, g.transpose(inv))
 
     return _record("transpose", (x,), out_data, bwd)
-
-
-def upsample2x(x: Tensor) -> Tensor:
-    """Nearest-neighbor 2x upsample of an h*w*c grid; adjoint sums 2x2 blocks."""
-    if x.data.ndim != 3:
-        raise ShapeError(f"upsample2x needs an h*w*c grid, got shape {x.shape}")
-    h, w, c = x.shape
-    out_data = np.repeat(np.repeat(x.data, 2, axis=0), 2, axis=1)
-
-    def bwd(g: np.ndarray) -> None:
-        if x.requires_grad:
-            _accum(x, g.reshape(h, 2, w, 2, c).sum(axis=(1, 3)))
-
-    return _record("upsample2x", (x,), out_data, bwd)
 
 
 _bilinear_cache: dict[int, np.ndarray] = {}
@@ -479,28 +488,28 @@ def _bilinear_matrix(n: int) -> np.ndarray:
 
 
 def _rows_apply(mat: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """(m, h) x (h, w, c) -> (m, w, c) as one BLAS matmul."""
-    h, w, c = grid.shape
-    return (mat @ grid.reshape(h, w * c)).reshape(mat.shape[0], w, c)
+    """(m, h) x (..., h, w, c) -> (..., m, w, c), one BLAS matmul per grid."""
+    *lead, h, w, c = grid.shape
+    return (mat @ grid.reshape(-1, h, w * c)).reshape(*lead, mat.shape[0], w, c)
 
 
 def _cols_apply(mat: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """(m, w) x (h, w, c) -> (h, m, c) as one BLAS matmul."""
-    h, w, c = grid.shape
-    swapped = np.ascontiguousarray(grid.transpose(1, 0, 2)).reshape(w, h * c)
-    return (mat @ swapped).reshape(mat.shape[0], h, c).transpose(1, 0, 2)
+    """(m, w) x (..., h, w, c) -> (..., h, m, c), one BLAS matmul per grid row;
+    the output is contiguous, so the channel linear that follows needs no copy."""
+    *lead, h, w, c = grid.shape
+    return (mat @ grid.reshape(-1, w, c)).reshape(*lead, h, mat.shape[0], c)
 
 
 def upsample2x_bilinear(x: Tensor) -> Tensor:
-    """Bilinear 2x upsample of an h*w*c grid.
+    """Bilinear 2x upsample of (..., h, w, c) grids.
 
     Separable: rows then columns through fixed interpolation matrices, so
     neighboring cells mix and downstream pointwise layers can resolve
     sub-cell structure. The adjoint applies the transposed matrices.
     """
-    if x.data.ndim != 3:
-        raise ShapeError(f"upsample2x_bilinear needs an h*w*c grid, got shape {x.shape}")
-    h, w, _ = x.shape
+    if x.data.ndim < 3:
+        raise ShapeError(f"upsample2x_bilinear needs (..., h, w, c) grids, got shape {x.shape}")
+    h, w, _ = x.shape[-3:]
     ry = _bilinear_matrix(h)
     rx = _bilinear_matrix(w)
     out_data = _cols_apply(rx, _rows_apply(ry, x.data))
@@ -513,7 +522,9 @@ def upsample2x_bilinear(x: Tensor) -> Tensor:
 
 
 def bce(pred: Tensor, target: Tensor) -> Tensor:
-    """Mean binary cross-entropy; predictions clamped to [1e-7, 1-1e-7]."""
+    """Mean binary cross-entropy over every element, batch axes included (so
+    a batch's loss is the mean of its samples' losses); predictions clamped to
+    [1e-7, 1-1e-7]."""
     if pred.shape != target.shape:
         raise ShapeError(f"bce shapes disagree: {pred.shape} vs {target.shape}")
     lo, hi = BCE_CLAMP, 1.0 - BCE_CLAMP

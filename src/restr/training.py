@@ -72,11 +72,14 @@ def patch_labels(mask: np.ndarray, patch_size: int, tau: float) -> np.ndarray:
 
 def segmentation_loss(pred: PredictionPair, y_p: np.ndarray, mask: np.ndarray,
                       lam: float) -> tuple[Tensor, Tensor, Tensor]:
-    """Returns (total, patch term, pixel term); only the total carries the lam weight."""
-    if mask.ndim == 2:
-        mask = mask[:, :, None]
+    """Returns (total, patch term, pixel term); only the total carries the lam weight.
+
+    ``y_p`` has the shape of ``pred.patch_probs`` and ``mask`` the size of
+    ``pred.pixel_logits``; each term is the mean over its batch's elements.
+    """
     patch_term = T.bce(pred.patch_probs, Tensor(y_p))
-    pixel_term = T.bce(T.sigmoid(pred.pixel_logits), Tensor(mask))
+    pixel_term = T.bce(T.sigmoid(pred.pixel_logits),
+                       Tensor(np.reshape(mask, pred.pixel_logits.shape)))
     total = T.scale(patch_term, lam) + pixel_term
     return total, patch_term, pixel_term
 
@@ -188,9 +191,10 @@ def train(params: RestrParams, model_cfg: ModelConfig, cfg: TrainConfig,
     """Seeded mini-batch training loop.
 
     ``dataset`` items carry ``.image``, ``.token_ids`` and ``.mask``. Batches
-    follow the deterministic :func:`batch_indices` schedule; gradients come
-    from one backward pass over the batch-mean loss. Passing a resumed
-    optimizer continues from its step count with the identical schedule.
+    follow the deterministic :func:`batch_indices` schedule; each batch is one
+    forward graph, and gradients come from one backward pass over the
+    batch-mean loss. Passing a resumed optimizer continues from its step count
+    with the identical schedule.
     Periodic evaluation (cumulative IoU on ``eval_set``, default the training
     set) runs every ``eval_every`` iterations; with ``stop_at_iou`` the loop
     exits early once reached. ``use_decoder=False`` trains and evaluates from
@@ -217,28 +221,25 @@ def train(params: RestrParams, model_cfg: ModelConfig, cfg: TrainConfig,
                                                    cfg.batch_size, cfg.seed)]
         opt.zero_grad()
         T.reset_graph()
-        total = None
-        patch_sum = pixel_sum = 0.0
-        for s in batch:
-            pred = forward(np.asarray(s.image), s.token_ids, params, model_cfg,
-                           with_pixels=use_decoder)
-            if use_decoder:
-                t, pa, px = segmentation_loss(pred, labels[id(s)],
-                                              np.asarray(s.mask), cfg.lam)
-                pixel_sum += px.item()
-            else:
-                t = pa = T.bce(pred.patch_probs, Tensor(labels[id(s)]))
-            patch_sum += pa.item()
-            total = t if total is None else total + t
-        batch_loss = T.scale(total, 1.0 / len(batch))
+        pred = forward(np.stack([np.asarray(s.image) for s in batch]),
+                       [s.token_ids for s in batch], params, model_cfg,
+                       with_pixels=use_decoder)
+        y_p = np.stack([labels[id(s)] for s in batch])
+        if use_decoder:
+            masks = np.stack([np.asarray(s.mask) for s in batch])
+            batch_loss, patch_term, pixel_term = segmentation_loss(pred, y_p, masks, cfg.lam)
+            loss_pixel = pixel_term.item()
+        else:
+            batch_loss = patch_term = T.bce(pred.patch_probs, Tensor(y_p))
+            loss_pixel = 0.0
         T.backward(batch_loss)
         lr = lr_at(iteration, cfg)
         opt.step(lr)
 
         row = TrainLogRow(iteration=iteration, lr=lr,
                           loss_total=batch_loss.item(),
-                          loss_patch=patch_sum / len(batch),
-                          loss_pixel=pixel_sum / len(batch))
+                          loss_patch=patch_term.item(),
+                          loss_pixel=loss_pixel)
         if cfg.eval_every and iteration % cfg.eval_every == 0:
             row.eval_iou = cumulative_iou_of_model(params, model_cfg, eval_set,
                                                    use_decoder=use_decoder)

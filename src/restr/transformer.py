@@ -1,9 +1,11 @@
 """Multi-headed self-attention, the pre-norm transformer block, and stacks.
 
 A stack is a sequence of residual blocks ``z + MSA(LN(z))`` followed by
-``z + MLP(LN(z))``, closed with a terminal layer normalization. Per-head
-query/key/value projections are independent linear maps; the concatenated
-head outputs pass through a single output projection.
+``z + MLP(LN(z))``, closed with a terminal layer normalization. As in ViT,
+one fused linear map ``w_qkv`` (d, 3d) gives the queries, keys and values of
+every head; attention runs over (..., heads, tokens, head_dim), and the
+concatenated head outputs pass through a single output projection. Tokens
+are (..., n, d): any leading axes are a batch.
 """
 
 from __future__ import annotations
@@ -63,28 +65,17 @@ def _ones(shape) -> Tensor:
 
 
 @dataclass
-class HeadParams:
-    """Independent q/k/v projections of one attention head."""
-
-    wq: Tensor
-    bq: Tensor
-    wk: Tensor
-    bk: Tensor
-    wv: Tensor
-    bv: Tensor
-
-    def named_parameters(self):
-        return [("wq", self.wq, True), ("bq", self.bq, False),
-                ("wk", self.wk, True), ("bk", self.bk, False),
-                ("wv", self.wv, True), ("bv", self.bv, False)]
-
-
-@dataclass
 class BlockParams:
-    """Parameters of one pre-norm block: MSA heads, output projection, two
-    layer norms, and the two-layer MLP."""
+    """Parameters of one pre-norm block: the fused q/k/v projection, the
+    output projection, two layer norms, and the two-layer MLP.
 
-    heads: list[HeadParams]
+    Columns of ``w_qkv`` are [q of head 0..H-1 | k of head 0..H-1 |
+    v of head 0..H-1], ``head_dim`` columns per head.
+    """
+
+    heads: int
+    w_qkv: Tensor
+    b_qkv: Tensor
     w_out: Tensor
     ln1_gain: Tensor
     ln1_bias: Tensor
@@ -96,17 +87,14 @@ class BlockParams:
     b_mlp2: Tensor
 
     def named_parameters(self):
-        out = []
-        for i, h in enumerate(self.heads):
-            out.extend((f"heads.{i}.{n}", t, d) for n, t, d in h.named_parameters())
-        out.extend([
+        return [
+            ("w_qkv", self.w_qkv, True), ("b_qkv", self.b_qkv, False),
             ("w_out", self.w_out, True),
             ("ln1.gain", self.ln1_gain, False), ("ln1.bias", self.ln1_bias, False),
             ("ln2.gain", self.ln2_gain, False), ("ln2.bias", self.ln2_bias, False),
             ("mlp.w1", self.w_mlp1, True), ("mlp.b1", self.b_mlp1, False),
             ("mlp.w2", self.w_mlp2, True), ("mlp.b2", self.b_mlp2, False),
-        ])
-        return out
+        ]
 
 
 @dataclass
@@ -132,12 +120,13 @@ class StackParams:
 
 def init_block(rng: np.random.Generator, cfg: TransformerConfig) -> BlockParams:
     d, dh, hm = cfg.dim, cfg.head_dim, cfg.mlp_hidden
-    heads = [HeadParams(wq=_weight(rng, (d, dh)), bq=_zeros((1, dh)),
-                        wk=_weight(rng, (d, dh)), bk=_zeros((1, dh)),
-                        wv=_weight(rng, (d, dh)), bv=_zeros((1, dh)))
-             for _ in range(cfg.heads)]
+    # Each head draws its q, k, v in turn, so a seed gives the same weights
+    # as independent per-head projections would.
+    qkv = [[trunc_normal(rng, (d, dh)) for _ in range(3)] for _ in range(cfg.heads)]
+    w_qkv = np.concatenate([head[j] for j in range(3) for head in qkv], axis=1)
     return BlockParams(
-        heads=heads,
+        heads=cfg.heads,
+        w_qkv=Tensor(w_qkv, requires_grad=True), b_qkv=_zeros((1, 3 * d)),
         w_out=_weight(rng, (cfg.heads * dh, d)),
         ln1_gain=_ones(d), ln1_bias=_zeros(d),
         ln2_gain=_ones(d), ln2_bias=_zeros(d),
@@ -156,26 +145,35 @@ def init_stack(rng: np.random.Generator, cfg: TransformerConfig,
     return StackParams(blocks=blocks, ln_f_gain=_ones(cfg.dim), ln_f_bias=_zeros(cfg.dim))
 
 
-def self_attention(z: Tensor, head: HeadParams,
+def self_attention(z: Tensor, block: BlockParams,
                    attn_sink: list | None = None) -> Tensor:
-    """Scaled dot-product attention of one head; appends the row-stochastic
-    attention matrix to ``attn_sink`` when requested."""
-    q = T.matmul(z, head.wq) + head.bq
-    k = T.matmul(z, head.wk) + head.bk
-    v = T.matmul(z, head.wv) + head.bv
-    dh = head.wq.shape[1]
-    scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(dh))
-    attn = T.softmax(scores, axis=-1)
+    """Scaled dot-product attention of every head at once: (..., n, d) tokens
+    in, the heads' outputs concatenated to (..., n, d) out.
+
+    ``1/sqrt(head_dim)`` is folded into q, and softmax writes into one new
+    buffer, so at most two (..., H, n, n) arrays are live: the scores and
+    their softmax. Appends the row-stochastic (..., H, n, n) attention to
+    ``attn_sink`` when requested.
+    """
+    *lead, n, d = z.shape
+    h = block.heads
+    dh = d // h
+    b = len(lead)
+    swap = (*range(b), b + 1, b, b + 2)  # (..., x, y, dh) <-> (..., y, x, dh)
+    qkv = T.matmul(z, block.w_qkv) + block.b_qkv
+    qkv = T.transpose(T.reshape(qkv, (*lead, n, 3 * h, dh)), swap)  # (..., 3h, n, dh)
+    q = T.scale(T.slice_axis(qkv, -3, 0, h), 1.0 / math.sqrt(dh))
+    k = T.slice_axis(qkv, -3, h, 2 * h)
+    v = T.slice_axis(qkv, -3, 2 * h, 3 * h)
+    attn = T.softmax(T.matmul(q, T.transpose(k)), axis=-1)
     if attn_sink is not None:
         attn_sink.append(attn.data)
-    return T.matmul(attn, v)
+    return T.reshape(T.transpose(T.matmul(attn, v), swap), (*lead, n, d))
 
 
 def msa(z: Tensor, block: BlockParams, attn_sink: list | None = None) -> Tensor:
     """Multi-headed self-attention: concatenated heads, one output projection."""
-    outs = [self_attention(z, h, attn_sink) for h in block.heads]
-    cat = outs[0] if len(outs) == 1 else T.concat(outs, axis=1)
-    return T.matmul(cat, block.w_out)
+    return T.matmul(self_attention(z, block, attn_sink), block.w_out)
 
 
 def transformer_block(z: Tensor, block: BlockParams,
@@ -190,21 +188,18 @@ def encoder_stack(z: Tensor, params: StackParams,
                   attn_sink: list | None = None) -> Tensor:
     """Run every block, then the terminal layer norm.
 
-    With a sink, one list of per-head attention matrices is appended per block.
+    With a sink, one (..., H, n, n) attention array is appended per block.
     """
     for block in params.blocks:
-        block_sink: list | None = [] if attn_sink is not None else None
-        z = transformer_block(z, block, block_sink)
-        if attn_sink is not None:
-            attn_sink.append(block_sink)
+        z = transformer_block(z, block, attn_sink)
     return T.layer_norm(z, params.ln_f_gain, params.ln_f_bias)
 
 
 def block_param_count(cfg: TransformerConfig) -> int:
     """Closed-form parameter count of one block (must match enumeration)."""
-    d, dh, k, hm = cfg.dim, cfg.head_dim, cfg.heads, cfg.mlp_hidden
-    qkv = k * 3 * (d * dh + dh)
-    out_proj = k * dh * d
+    d, hm = cfg.dim, cfg.mlp_hidden
+    qkv = 3 * (d * d + d)
+    out_proj = d * d
     norms = 4 * d
     mlp = d * hm + hm + hm * d + d
     return qkv + out_proj + norms + mlp

@@ -114,11 +114,10 @@ def test_a3_equation_oracles():
     params = init_model(np.random.default_rng(4), cfg)
     sink_a, sink_b = [], []
     rng2 = np.random.default_rng(5)
-    forward(rng2.uniform(size=(16, 16, 3)), [2, 3], params, cfg, sink_a, sink_b)
-    for heads in sink_a + sink_b:
-        for attn in heads:
-            npt.assert_allclose(attn.sum(axis=-1), np.ones(attn.shape[0]),
-                                atol=1e-6)
+    forward(rng2.uniform(size=(1, 16, 16, 3)), [[2, 3]], params, cfg, sink_a, sink_b)
+    for attn in sink_a + sink_b:  # one (batch, heads, n, n) array per block
+        npt.assert_allclose(attn.sum(axis=-1), np.ones(attn.shape[:-1]),
+                            atol=1e-6)
     stats = attention_probe(params, cfg,
                             [(rng2.uniform(size=(16, 16, 3)), [2, 3, 4])])
     for layer in stats.layers:

@@ -1,5 +1,8 @@
 """Checkpoint persistence and flat run-config parsing."""
 
+import pathlib
+import struct
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -97,10 +100,10 @@ class TestCheckpoint:
         rng = np.random.default_rng(2)
         params = init_model(rng, cfg)
         img = rng.uniform(size=(16, 16, 3))
-        before = forward(img, [2, 3], params, cfg).pixel_logits.data
+        before = forward(img[None], [[2, 3]], params, cfg).pixel_logits.data
         save_checkpoint(tmp_path / "m.rstr", cfg, params)
         _, params2, _ = load_checkpoint(tmp_path / "m.rstr")
-        after = forward(img, [2, 3], params2, cfg).pixel_logits.data
+        after = forward(img[None], [[2, 3]], params2, cfg).pixel_logits.data
         npt.assert_allclose(after, before, rtol=1e-5, atol=1e-6)
 
     def test_optimizer_state_round_trip(self, tmp_path):
@@ -127,6 +130,41 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
+
+    def test_version_1_rejected_by_number(self, tmp_path):
+        cfg = tiny_cfg()
+        path = tmp_path / "m.rstr"
+        save_checkpoint(path, cfg, init_model(np.random.default_rng(4), cfg))
+        blob = bytearray(path.read_bytes())
+        blob[4:8] = struct.pack("<I", 1)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="version 1"):
+            load_checkpoint(path)
+
+    def test_fused_attention_names(self, tmp_path):
+        names = {n for n, _, _ in init_model(np.random.default_rng(4),
+                                             tiny_cfg()).named_parameters()}
+        assert "vision.stack.blocks.0.w_qkv" in names
+        assert "fusion.stack_b.blocks.0.b_qkv" in names
+        assert not any(".heads." in n for n in names)
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        cfg = tiny_cfg()
+        path = tmp_path / "m.rstr"
+        save_checkpoint(path, cfg, init_model(np.random.default_rng(4), cfg))
+        before = path.read_bytes()
+
+        def write_half_then_fail(self, data):
+            with open(self, "wb") as fh:
+                fh.write(data[:len(data) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(pathlib.Path, "write_bytes", write_half_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, cfg, init_model(np.random.default_rng(5), cfg))
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.rstr"]
 
     def test_truncated_rejected(self, tmp_path):
         cfg = tiny_cfg()

@@ -147,8 +147,8 @@ class TestForward:
         rng = np.random.default_rng(10)
         params = init_model(rng, cfg)
         img = rng.uniform(size=(16, 16, 3))
-        a = forward(img, [2, 3, 4], params, cfg)
-        b = forward(img, [2, 3, 4], params, cfg)
+        a = forward(img[None], [[2, 3, 4]], params, cfg)
+        b = forward(img[None], [[2, 3, 4]], params, cfg)
         npt.assert_array_equal(a.patch_probs.data, b.patch_probs.data)
         npt.assert_array_equal(a.pixel_logits.data, b.pixel_logits.data)
 
@@ -156,18 +156,18 @@ class TestForward:
         cfg = tiny_cfg()
         rng = np.random.default_rng(11)
         params = init_model(rng, cfg)
-        pred = forward(rng.uniform(size=(16, 16, 3)), [2], params, cfg)
-        assert pred.patch_probs.shape == (cfg.n_patches, 1)
-        assert pred.pixel_logits.shape == (16, 16, 1)
+        pred = forward(rng.uniform(size=(2, 16, 16, 3)), [[2], [3, 4]], params, cfg)
+        assert pred.patch_probs.shape == (2, cfg.n_patches, 1)
+        assert pred.pixel_logits.shape == (2, 16, 16, 1)
 
     def test_without_pixels(self):
         cfg = tiny_cfg()
         rng = np.random.default_rng(12)
         params = init_model(rng, cfg)
-        pred = forward(rng.uniform(size=(16, 16, 3)), [2], params, cfg,
+        pred = forward(rng.uniform(size=(1, 16, 16, 3)), [[2]], params, cfg,
                        with_pixels=False)
         assert pred.pixel_logits is None
-        assert pred.patch_probs.shape == (cfg.n_patches, 1)
+        assert pred.patch_probs.shape == (1, cfg.n_patches, 1)
 
     def test_variant_agnostic(self):
         rng = np.random.default_rng(13)
@@ -175,5 +175,5 @@ class TestForward:
         for variant in ("vme", "ime", "cme", "cme_shared"):
             cfg = tiny_cfg(fusion_variant=variant)
             params = init_model(np.random.default_rng(14), cfg)
-            pred = forward(img, [2, 3], params, cfg)
-            assert pred.pixel_logits.shape == (16, 16, 1)
+            pred = forward(img[None], [[2, 3]], params, cfg)
+            assert pred.pixel_logits.shape == (1, 16, 16, 1)

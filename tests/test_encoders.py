@@ -115,8 +115,8 @@ class TestVisionEncode:
     def test_output_shape(self, cfg):
         rng = np.random.default_rng(2)
         params = init_vision(rng, cfg)
-        out = vision_encode(rng.uniform(size=(16, 16, 3)), params, cfg)
-        assert out.shape == (16, 16)
+        out = vision_encode(rng.uniform(size=(3, 16, 16, 3)), params, cfg)
+        assert out.shape == (3, 16, 16)
 
     def test_zeroed_positions_swap_equivariance(self, cfg):
         rng = np.random.default_rng(3)
@@ -127,8 +127,8 @@ class TestVisionEncode:
         swapped = img.copy()
         swapped[0:4, 0:4], swapped[0:4, 4:8] = (img[0:4, 4:8].copy(),
                                                 img[0:4, 0:4].copy())
-        out = vision_encode(img, params, cfg).data
-        out_swapped = vision_encode(swapped, params, cfg).data
+        out = vision_encode(img[None], params, cfg).data[0]
+        out_swapped = vision_encode(swapped[None], params, cfg).data[0]
         reordered = out.copy()
         reordered[[0, 1]] = out[[1, 0]]
         npt.assert_allclose(out_swapped, reordered, atol=1e-9)
@@ -140,8 +140,8 @@ class TestVisionEncode:
         swapped = img.copy()
         swapped[0:4, 0:4], swapped[0:4, 4:8] = (img[0:4, 4:8].copy(),
                                                 img[0:4, 0:4].copy())
-        out = vision_encode(img, params, cfg).data
-        out_swapped = vision_encode(swapped, params, cfg).data
+        out = vision_encode(img[None], params, cfg).data[0]
+        out_swapped = vision_encode(swapped[None], params, cfg).data[0]
         reordered = out.copy()
         reordered[[0, 1]] = out[[1, 0]]
         assert np.abs(out_swapped - reordered).max() > 1e-6
@@ -149,7 +149,14 @@ class TestVisionEncode:
     def test_range_check(self, cfg):
         params = init_vision(np.random.default_rng(5), cfg)
         with pytest.raises(ValueError):
-            vision_encode(np.full((16, 16, 3), 2.0), params, cfg)
+            vision_encode(np.full((1, 16, 16, 3), 2.0), params, cfg)
+
+    def test_nan_pixel_rejected(self, cfg):
+        params = init_vision(np.random.default_rng(5), cfg)
+        img = np.random.default_rng(6).uniform(size=(2, 16, 16, 3))
+        img[1, 3, 5, 0] = np.nan
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            vision_encode(img, params, cfg)
 
     def test_param_count_closed_form(self, cfg):
         params = init_vision(np.random.default_rng(6), cfg)
@@ -161,24 +168,24 @@ class TestLanguageEncode:
         rng = np.random.default_rng(7)
         params = init_language(rng, cfg)
         for ids in ([2], [2, 3, 4], [2, 3, 4, 5, 6, 7]):
-            assert language_encode(ids, params, cfg).shape == (6, 16)
+            assert language_encode([ids], params, cfg).shape == (1, 6, 16)
 
     def test_determinism(self, cfg):
         params = init_language(np.random.default_rng(8), cfg)
-        a = language_encode([3, 4, 5], params, cfg).data
-        b = language_encode([3, 4, 5], params, cfg).data
+        a = language_encode([[3, 4, 5]], params, cfg).data
+        b = language_encode([[3, 4, 5]], params, cfg).data
         npt.assert_array_equal(a, b)
 
     def test_single_token_change_changes_output(self, cfg):
         params = init_language(np.random.default_rng(9), cfg)
-        a = language_encode([3, 4, 5], params, cfg).data
-        b = language_encode([3, 4, 6], params, cfg).data
+        a = language_encode([[3, 4, 5]], params, cfg).data
+        b = language_encode([[3, 4, 6]], params, cfg).data
         assert np.abs(a - b).max() > 1e-8
 
     def test_out_of_range_id(self, cfg):
         params = init_language(np.random.default_rng(10), cfg)
         with pytest.raises(ValueError):
-            language_encode([99], params, cfg)
+            language_encode([[99]], params, cfg)
 
     def test_truncation_warns(self, cfg):
         with pytest.warns(UserWarning, match="truncated"):

@@ -38,9 +38,25 @@ class TestMatmul:
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
             T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
-    def test_non_2d_rejected(self):
+    def test_operand_below_2d_rejected(self):
         with pytest.raises(ShapeError):
-            T.matmul(Tensor(np.zeros((2, 2, 2))), Tensor(np.zeros((2, 2))))
+            T.matmul(Tensor(np.zeros(2)), Tensor(np.zeros((2, 2))))
+
+    def test_batch_times_weight_is_per_sample(self):
+        rng = np.random.default_rng(19)
+        a, w = rng.standard_normal((3, 4, 5)), rng.standard_normal((5, 2))
+        out = T.matmul(Tensor(a), Tensor(w)).data
+        npt.assert_allclose(out, np.stack([x @ w for x in a]), rtol=1e-12)
+
+    def test_mismatched_batch_axes_rejected(self):
+        with pytest.raises(ShapeError, match="batch"):
+            T.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
+
+    def test_macs_count_batch_axes(self):
+        with T.no_grad(), T.count_macs() as counter:
+            T.matmul(Tensor(np.zeros((2, 3, 4, 5))), Tensor(np.zeros((2, 3, 5, 6))))
+            T.matmul(Tensor(np.zeros((7, 4, 5))), Tensor(np.zeros((5, 6))))
+        assert counter.macs == 2 * 3 * 4 * 5 * 6 + 7 * 4 * 5 * 6
 
 
 class TestSoftmax:
@@ -163,21 +179,11 @@ class TestLayoutOps:
 
 
 class TestUpsample:
-    def test_single_cell_replication(self):
-        out = T.upsample2x(Tensor(np.full((1, 1, 1), 5.0)))
-        npt.assert_array_equal(out.data, np.full((2, 2, 1), 5.0))
-
-    def test_checkerboard(self):
-        board = np.array([[0.0, 1.0], [1.0, 0.0]])[:, :, None]
-        out = T.upsample2x(Tensor(board))
-        expected = np.array([[0, 0, 1, 1], [0, 0, 1, 1],
-                             [1, 1, 0, 0], [1, 1, 0, 0]], dtype=float)[:, :, None]
-        npt.assert_array_equal(out.data, expected)
-
-    def test_adjoint_of_sum_is_four(self):
-        x = tensor(np.random.default_rng(14).standard_normal((3, 2, 4)))
-        T.backward(T.sum_all(T.upsample2x(x)))
-        npt.assert_array_equal(x.grad, np.full((3, 2, 4), 4.0))
+    def test_bilinear_batch_is_per_grid(self):
+        x = np.random.default_rng(14).standard_normal((3, 2, 4, 2))
+        out = T.upsample2x_bilinear(Tensor(x)).data
+        npt.assert_array_equal(out, np.stack([T.upsample2x_bilinear(Tensor(g)).data
+                                              for g in x]))
 
     def test_bilinear_values_stay_in_hull(self):
         rng = np.random.default_rng(15)
@@ -193,7 +199,7 @@ class TestUpsample:
 
     def test_needs_grid(self):
         with pytest.raises(ShapeError):
-            T.upsample2x(Tensor(np.zeros((2, 2))))
+            T.upsample2x_bilinear(Tensor(np.zeros((2, 2))))
 
 
 class TestBce:

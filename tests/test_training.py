@@ -3,6 +3,8 @@
 import math
 
 import numpy as np
+
+import restr.tensor as T
 import numpy.testing as npt
 import pytest
 
@@ -235,8 +237,8 @@ class TestTrainLoop:
         cfg, ds = setup
         params = init_model(np.random.default_rng(2), cfg)
         sample = ds.samples[0]
-        pred = forward(np.asarray(sample.image), sample.token_ids, params, cfg)
-        y_p = patch_labels(np.asarray(sample.mask), cfg.patch_size, 0.8)
+        pred = forward(np.asarray(sample.image)[None], [sample.token_ids], params, cfg)
+        y_p = patch_labels(np.asarray(sample.mask), cfg.patch_size, 0.8)[None]
         total, _, _ = segmentation_loss(pred, y_p, np.asarray(sample.mask), lam=0.1)
         expected = 1.1 * math.log(2)
         assert abs(total.item() - expected) / expected < 0.20
@@ -256,3 +258,60 @@ class TestTrainLoop:
         first = np.mean([r.loss_total for r in res.rows[:5]])
         last = np.mean([r.loss_total for r in res.rows[-5:]])
         assert last < first
+
+
+class TestBatchInvariance:
+    """One graph over a batch is the same math as one graph per sample."""
+
+    CFG = dict(image_h=16, image_w=16, patch_size=4, dim_vision=16,
+               vision_layers=1, dim_language=16, language_layers=1,
+               max_tokens=6, vocab_size=15, dim_fusion=16, fusion_layers=2,
+               heads=2)
+
+    def _batch(self, cfg):
+        rng = np.random.default_rng(21)
+        images = rng.uniform(size=(4, 16, 16, 3))
+        ids = [[2, 3], [4, 5, 6], [7], [8, 9, 10, 11]]
+        masks = (rng.uniform(size=(4, 16, 16, 1)) < 0.4).astype(float)
+        y_p = np.stack([patch_labels(m, cfg.patch_size, 0.8) for m in masks])
+        return images, ids, masks, y_p
+
+    def _loss_and_grads(self, params, cfg, images, ids, masks, y_p):
+        named = params.named_parameters()
+        for _, t, _ in named:
+            t.grad = None
+        T.reset_graph()
+        total, _, _ = segmentation_loss(forward(images, ids, params, cfg), y_p,
+                                        masks, lam=0.1)
+        T.backward(total)
+        grads = [np.zeros_like(t.data) if t.grad is None else t.grad.copy()
+                 for _, t, _ in named]
+        return total.item(), grads
+
+    def test_batch_loss_and_gradients_equal_mean_of_single_runs(self):
+        cfg = ModelConfig(**self.CFG)
+        params = init_model(np.random.default_rng(22), cfg)
+        images, ids, masks, y_p = self._batch(cfg)
+        loss, grads = self._loss_and_grads(params, cfg, images, ids, masks, y_p)
+        singles = [self._loss_and_grads(params, cfg, images[i:i + 1], ids[i:i + 1],
+                                        masks[i:i + 1], y_p[i:i + 1])
+                   for i in range(4)]
+        mean_loss = np.mean([s[0] for s in singles])
+        assert abs(loss - mean_loss) <= 1e-12 * abs(mean_loss)
+        for (name, _, _), g, *per_sample in zip(params.named_parameters(), grads,
+                                                *[s[1] for s in singles]):
+            mean = np.mean(per_sample, axis=0)
+            scale = np.abs(mean).max()
+            assert np.abs(g - mean).max() <= 1e-12 * scale, name
+
+    def test_logits_do_not_depend_on_batch_mates(self):
+        cfg = ModelConfig(**self.CFG)
+        params = init_model(np.random.default_rng(23), cfg)
+        images, ids, _, _ = self._batch(cfg)
+        with T.no_grad():
+            alone = forward(images[:1], ids[:1], params, cfg).pixel_logits.data[0]
+            for order in ([0, 1, 2, 3], [0, 3], [2, 1, 0]):
+                pos = order.index(0)
+                batched = forward(images[order], [ids[i] for i in order],
+                                  params, cfg).pixel_logits.data[pos]
+                npt.assert_allclose(batched, alone, rtol=0, atol=1e-12)

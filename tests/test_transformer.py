@@ -39,33 +39,33 @@ class TestConfig:
 class TestSelfAttention:
     def test_single_token_attention_is_one(self, cfg):
         rng = np.random.default_rng(0)
-        head = init_block(rng, cfg).heads[0]
+        block = init_block(rng, cfg)
         sink = []
-        out = self_attention(rand_tokens(rng, 1, 8), head, attn_sink=sink)
-        npt.assert_allclose(sink[0], [[1.0]])
-        assert out.shape == (1, 4)
+        out = self_attention(rand_tokens(rng, 1, 8), block, attn_sink=sink)
+        npt.assert_allclose(sink[0], np.ones((2, 1, 1)))  # (heads, n, n)
+        assert out.shape == (1, 8)
 
     def test_identical_tokens_uniform_attention(self, cfg):
         rng = np.random.default_rng(1)
-        head = init_block(rng, cfg).heads[0]
+        block = init_block(rng, cfg)
         z = Tensor(np.tile(rng.standard_normal(8), (5, 1)))
         sink = []
-        self_attention(z, head, attn_sink=sink)
-        npt.assert_allclose(sink[0], np.full((5, 5), 0.2), atol=1e-12)
+        self_attention(z, block, attn_sink=sink)
+        npt.assert_allclose(sink[0], np.full((2, 5, 5), 0.2), atol=1e-12)
 
     def test_rows_sum_to_one(self):
         cfg = TransformerConfig(layers=1, dim=8, heads=2)
         rng = np.random.default_rng(2)
-        head = init_block(rng, cfg).heads[0]
+        block = init_block(rng, cfg)
         sink = []
-        self_attention(rand_tokens(rng, 5, 8), head, attn_sink=sink)
-        npt.assert_allclose(sink[0].sum(axis=-1), np.ones(5), atol=1e-9)
+        self_attention(rand_tokens(rng, 5, 8), block, attn_sink=sink)
+        npt.assert_allclose(sink[0].sum(axis=-1), np.ones((2, 5)), atol=1e-9)
 
     def test_shape_mismatch(self, cfg):
         rng = np.random.default_rng(3)
-        head = init_block(rng, cfg).heads[0]
+        block = init_block(rng, cfg)
         with pytest.raises(Exception):
-            self_attention(rand_tokens(rng, 4, 6), head)
+            self_attention(rand_tokens(rng, 4, 6), block)
 
 
 class TestMsa:
@@ -76,7 +76,7 @@ class TestMsa:
         block.w_out.data = np.eye(4)
         z = rand_tokens(rng, 3, 4)
         npt.assert_allclose(msa(z, block).data,
-                            self_attention(z, block.heads[0]).data)
+                            self_attention(z, block).data)
 
     @pytest.mark.parametrize("heads", [1, 2, 4])
     def test_output_shape(self, heads):
