@@ -32,7 +32,7 @@ VERSION = 2
 
 
 class CheckpointError(RuntimeError):
-    """Missing, truncated, or unknown-version checkpoint file."""
+    """Missing, truncated, undecodable or unknown-version checkpoint file."""
 
 
 def _pack_blob(arr: np.ndarray) -> bytes:
@@ -88,6 +88,15 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
+    def text(self, what: str) -> str:
+        """A u32 length, then that many bytes of UTF-8."""
+        raw = self.take(self.u32())
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{self.path}: {what} is not valid UTF-8 "
+                                  f"(byte {exc.start})") from None
+
 
 def load_checkpoint(path) -> tuple[ModelConfig, RestrParams, dict | None]:
     """Rebuild (config, parameters, optimizer state or None) from disk."""
@@ -101,7 +110,7 @@ def load_checkpoint(path) -> tuple[ModelConfig, RestrParams, dict | None]:
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version} in {p} "
                               f"(this build reads version {VERSION})")
-    cfg = model_config_from_text(r.take(r.u32()).decode("utf-8"))
+    cfg = model_config_from_text(r.text("model config"))
 
     # Structure comes from the config; blobs overwrite the fresh parameters.
     params = init_model(np.random.default_rng(0), cfg)
@@ -113,7 +122,7 @@ def load_checkpoint(path) -> tuple[ModelConfig, RestrParams, dict | None]:
     by_name = {name: t for name, t, _ in named}
     shapes: list[tuple[int, ...]] = []
     for _ in range(n_params):
-        name = r.take(r.u32()).decode("utf-8")
+        name = r.text("a parameter name")
         ndim = r.u32()
         shape = struct.unpack(f"<{ndim}I", r.take(4 * ndim))
         count = int(np.prod(shape, dtype=np.int64)) if ndim else 1

@@ -43,7 +43,8 @@ class AmbiguityError(ValueError):
 
 
 class DataFormatError(RuntimeError):
-    """A dataset directory is missing, truncated, or of an unknown version."""
+    """A dataset directory is missing, truncated, of an unknown version, or
+    holds non-finite pixels."""
 
 
 @dataclass(frozen=True)
@@ -395,6 +396,8 @@ def load(data_dir) -> Dataset:
             raise DataFormatError(
                 f"sample {sid}: mask file has {len(msk_bytes)} bytes, expected {h * w}")
         image = np.frombuffer(img_bytes, dtype="<f4").astype(np.float64).reshape(h, w, 3)
+        if not np.isfinite(image).all():
+            raise DataFormatError(f"sample {sid}: image has non-finite pixels")
         mask_flat = np.frombuffer(msk_bytes, dtype=np.uint8)
         if not np.isin(mask_flat, (0, 1)).all():
             raise DataFormatError(f"sample {sid}: mask bytes outside {{0, 1}}")

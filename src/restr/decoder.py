@@ -8,6 +8,12 @@ activation follows it. Upsampling is bilinear rather than nearest: nearest
 replication keeps every pixel of a patch identical through the pointwise
 layers, which caps mask quality at patch granularity.
 
+Each block runs its linear before the upsample, on the 4x smaller grid. In
+exact arithmetic the two commute: the upsample mixes cells and the linear
+mixes channels, and every bilinear row sums to 1, so the bias passes through
+unchanged: ``upsample(x) @ w + b == upsample(x @ w + b)``. In float64 the
+two orders agree to rounding. The upsample then carries half the channels.
+
 Every stage takes a batch: token tensors are (..., tokens, dim), and
 ``forward`` runs B images with their expressions as one graph.
 """
@@ -91,7 +97,11 @@ def mask_features(z_v: Tensor, patch_probs: Tensor) -> Tensor:
 def decode_pixels(z_v: Tensor, z_masked: Tensor, params: DecoderParams,
                   cfg: ModelConfig) -> Tensor:
     """(..., n_patches, D) x 2 -> (..., H, W, 1) logits via K
-    upsample/halve/GELU blocks; the linears act on the last (channel) axis."""
+    upsample/halve/GELU blocks; the linears act on the last (channel) axis.
+
+    Each block computes ``gelu(upsample(grid @ w + b))``, which equals the
+    paper's ``gelu(upsample(grid) @ w + b)`` (see the module docstring) at a
+    quarter of the linear's MACs."""
     if len(params.blocks) != cfg.decoder_blocks:
         raise ConfigError(f"decoder has {len(params.blocks)} blocks, "
                           f"config needs {cfg.decoder_blocks}")
@@ -99,7 +109,7 @@ def decode_pixels(z_v: Tensor, z_masked: Tensor, params: DecoderParams,
     x = T.concat([z_v, z_masked], axis=-1)
     grid = T.reshape(x, (*z_v.shape[:-2], gh, gw, 2 * cfg.dim_fusion))
     for w, b in params.blocks:
-        grid = T.gelu(T.matmul(T.upsample2x_bilinear(grid), w) + b)
+        grid = T.gelu(T.upsample2x_bilinear(T.matmul(grid, w) + b))
     return T.matmul(grid, params.w_final) + params.b_final
 
 

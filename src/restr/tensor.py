@@ -39,7 +39,7 @@ class Tensor:
     pass deposits into it.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "op", "_epoch")
+    __slots__ = ("data", "requires_grad", "grad", "op", "_epoch", "_grad_epoch")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -47,6 +47,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.op: str | None = None  # tag of the producing operation, None for leaves
         self._epoch = -1
+        self._grad_epoch = -1  # epoch whose backward allocated ``grad``; see _owns_grad
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -164,11 +165,25 @@ def _record(tag: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
     return out
 
 
+def _owns_grad(t: Tensor) -> bool:
+    """True when ``t.grad`` was allocated by the running backward pass.
+
+    Such a buffer is private to the engine and may be written in place. Any
+    other gradient array is stored by reference (it may be another tensor's
+    gradient, or a leaf's from an earlier pass) and is never written. The
+    epoch advances when a backward ends, so leaves hand their buffers to the
+    caller."""
+    return t._grad_epoch == _state.epoch
+
+
 def _accum(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
         t.grad = g
+    elif _owns_grad(t):
+        t.grad += g
     else:
         t.grad = t.grad + g
+        t._grad_epoch = _state.epoch
 
 
 def backward(loss: Tensor) -> None:
@@ -433,9 +448,13 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
 
     def bwd(g: np.ndarray) -> None:
         if x.requires_grad:
-            full = np.zeros_like(x.data)
-            full[idx] = g
-            _accum(x, full)
+            if x.grad is None:
+                x.grad = np.zeros_like(x.data)
+                x._grad_epoch = _state.epoch
+            elif not _owns_grad(x):
+                x.grad = x.grad.copy()
+                x._grad_epoch = _state.epoch
+            x.grad[idx] += g
 
     return _record("slice", (x,), out_data, bwd)
 

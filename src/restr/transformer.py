@@ -220,10 +220,6 @@ def block_mac_count(n_tokens: int, cfg: TransformerConfig) -> int:
     return qkv + attn + out_proj + mlp
 
 
-def stack_mac_count(n_tokens: int, cfg: TransformerConfig) -> int:
-    return cfg.layers * block_mac_count(n_tokens, cfg)
-
-
 def count_parameters(named) -> int:
     """Total element count over (name, tensor, decay) triples."""
     return int(sum(t.size for _, t, _ in named))

@@ -175,6 +175,18 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("field", [b"image_h", b"vision.stack"])
+    def test_invalid_utf8_rejected(self, tmp_path, field):
+        # One byte of the config text or of a parameter name set to 0xff.
+        cfg = tiny_cfg()
+        path = tmp_path / "m.rstr"
+        save_checkpoint(path, cfg, init_model(np.random.default_rng(4), cfg))
+        blob = bytearray(path.read_bytes())
+        blob[blob.index(field)] = 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="not valid UTF-8"):
+            load_checkpoint(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="not found"):
             load_checkpoint(tmp_path / "absent.rstr")

@@ -1,7 +1,9 @@
 """CLI harness: every subcommand, exit codes, determinism, resume equivalence."""
 
 import csv
+import shutil
 
+import numpy as np
 import pytest
 
 from restr.cli import main
@@ -127,6 +129,15 @@ class TestEval:
     def test_missing_checkpoint(self, tmp_path, dataset_dir):
         assert main(["eval", "--ckpt", str(tmp_path / "no.rstr"),
                      "--data", str(dataset_dir)]) == 2
+
+    def test_nan_pixel_dataset(self, tmp_path, trained, dataset_dir):
+        bad = tmp_path / "bad"
+        shutil.copytree(dataset_dir, bad)
+        blob = bytearray((bad / "0000.img").read_bytes())
+        blob[:4] = np.array([np.nan], dtype="<f4").tobytes()
+        (bad / "0000.img").write_bytes(bytes(blob))
+        assert main(["eval", "--ckpt", str(trained / "checkpoint.rstr"),
+                     "--data", str(bad)]) == 2
 
 
 class TestGradcheckCmd:

@@ -174,6 +174,15 @@ class TestDiskFormat:
         with pytest.raises(DataFormatError, match="bytes"):
             load(tmp_path / "d")
 
+    def test_nan_pixel_rejected(self, tmp_path):
+        save(generate(seed=14, count=2, h=32, w=32), tmp_path / "d")
+        target = tmp_path / "d" / "0000.img"
+        blob = bytearray(target.read_bytes())
+        blob[40:44] = np.array([np.nan], dtype="<f4").tobytes()
+        target.write_bytes(bytes(blob))
+        with pytest.raises(DataFormatError, match="sample 0: .*non-finite"):
+            load(tmp_path / "d")
+
     def test_unknown_version(self, tmp_path):
         ds = generate(seed=15, count=2, h=32, w=32)
         save(ds, tmp_path / "d")

@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import restr.tensor as T
 from restr.decoder import (decode_pixels, decoder_channel_chain, forward,
                            init_decoder, init_model, mask_features,
                            patch_predict)
@@ -139,6 +140,51 @@ class TestDecodePixels:
             diff = np.abs(out - out_base)[:, :, 0]
             hot = np.unravel_index(np.argmax(diff), diff.shape)
             assert r <= hot[0] < r + 4 and c <= hot[1] < c + 4
+
+
+def paper_order_decode(z_v, z_masked, params, cfg):
+    """The paper's block order, upsample before the channel-halving linear."""
+    gh, gw = cfg.patch_grid
+    x = T.concat([z_v, z_masked], axis=-1)
+    grid = T.reshape(x, (*z_v.shape[:-2], gh, gw, 2 * cfg.dim_fusion))
+    for w, b in params.blocks:
+        grid = T.gelu(T.matmul(T.upsample2x_bilinear(grid), w) + b)
+    return T.matmul(grid, params.w_final) + params.b_final
+
+
+def max_rel_err(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+class TestDecoderOrder:
+    def test_bilinear_rows_sum_to_one(self):
+        # Why the bias may move before the upsample.
+        for n in range(1, 34):
+            npt.assert_allclose(T._bilinear_matrix(n).sum(axis=1), 1.0, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("patch,size,blocks", [(4, 16, 2), (16, 32, 4)])
+    def test_matches_paper_order(self, patch, size, blocks):
+        cfg = tiny_cfg(patch_size=patch, image_h=size, image_w=size)
+        assert cfg.decoder_blocks == blocks
+        rng = np.random.default_rng(20 + patch)
+        params = init_decoder(rng, cfg)
+        for _, b, _ in params.named_parameters():
+            b.data = rng.standard_normal(b.shape)  # nonzero biases, too
+        z_v = Tensor(rng.standard_normal((2, cfg.n_patches, 16)), requires_grad=True)
+        z_m = Tensor(rng.standard_normal((2, cfg.n_patches, 16)), requires_grad=True)
+        weights = Tensor(rng.standard_normal((2, size, size, 1)))
+        leaves = [z_v, z_m] + [t for _, t, _ in params.named_parameters()]
+        results = []
+        for decode in (decode_pixels, paper_order_decode):
+            for t in leaves:
+                t.zero_grad()
+            out = decode(z_v, z_m, params, cfg)
+            T.backward(T.sum_all(T.hadamard(out, weights)))
+            results.append((out.data, [t.grad for t in leaves]))
+        (out, grads), (ref, ref_grads) = results
+        assert max_rel_err(out, ref) <= 1e-12
+        for g, r in zip(grads, ref_grads):
+            assert max_rel_err(g, r) <= 1e-12
 
 
 class TestForward:

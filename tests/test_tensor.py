@@ -289,6 +289,71 @@ class TestBackward:
         npt.assert_array_equal(x.grad, [1.0, 1.0])
 
 
+class TestGradBufferPrivacy:
+    """The engine writes in place only into gradient buffers it allocated; an
+    array that two tensors share by reference is never written."""
+
+    def test_add_same_tensor_twice(self):
+        # The outer add hands one array to the inner add and to u; the inner
+        # add hands it to x twice.
+        rng = np.random.default_rng(30)
+        x, u = tensor(rng.standard_normal((3, 4))), tensor(rng.standard_normal((3, 4)))
+        c = rng.standard_normal((3, 4))
+        T.backward(T.sum_all(T.hadamard(T.add(T.add(x, x), u), Tensor(c))))
+        npt.assert_array_equal(x.grad, 2 * c)
+        npt.assert_array_equal(u.grad, c)
+
+    @pytest.mark.parametrize("slice_backward_first", [False, True])
+    def test_tensor_both_sliced_and_added(self, slice_backward_first):
+        # The add hands one array to x and v. Whichever of the slice and the
+        # add runs its backward first, v's gradient stays as the add gave it.
+        rng = np.random.default_rng(31)
+        x, v = tensor(rng.standard_normal((4, 3))), tensor(rng.standard_normal((4, 3)))
+        c, d = rng.standard_normal((4, 3)), rng.standard_normal((2, 3))
+
+        def sliced():
+            return T.sum_all(T.hadamard(T.slice_axis(x, 0, 1, 3), Tensor(d)))
+
+        def added():
+            return T.sum_all(T.hadamard(T.add(x, v), Tensor(c)))
+
+        first, second = (added, sliced) if slice_backward_first else (sliced, added)
+        T.backward(T.add(first(), second()))  # first() is recorded first
+        expected = c.copy()
+        expected[1:3] += d
+        npt.assert_array_equal(x.grad, expected)
+        npt.assert_array_equal(v.grad, c)
+
+    def test_slice_of_input_with_shared_grad(self):
+        # The add hands one array to reshape(x) and to w, and the reshape
+        # gives x a view of it. The slices of x, recorded first, run their
+        # backward last and must not write through that view.
+        rng = np.random.default_rng(32)
+        x = tensor(rng.standard_normal((2, 6)))
+        w = tensor(rng.standard_normal((3, 4)))
+        c, d = rng.standard_normal((3, 4)), rng.standard_normal((2, 3))
+        x_branch = T.add(T.sum_all(T.hadamard(T.slice_axis(x, 1, 0, 3), Tensor(d))),
+                         T.sum_all(T.hadamard(T.slice_axis(x, 1, 3, 6), Tensor(d))))
+        y_branch = T.sum_all(T.hadamard(T.add(T.reshape(x, (3, 4)), w), Tensor(c)))
+        T.backward(T.add(x_branch, y_branch))
+        npt.assert_array_equal(w.grad, c)
+        npt.assert_array_equal(x.grad, c.reshape(2, 6) + np.concatenate([d, d], axis=1))
+
+    def test_leaf_grad_from_earlier_pass_not_written(self):
+        rng = np.random.default_rng(33)
+        x = tensor(rng.standard_normal((4, 3)))
+        c = rng.standard_normal((4, 3))
+
+        def loss():
+            return T.sum_all(T.hadamard(T.add(x, x), Tensor(c)))
+
+        T.backward(loss())
+        held = x.grad
+        T.backward(loss())
+        npt.assert_array_equal(held, 2 * c)
+        npt.assert_array_equal(x.grad, 4 * c)
+
+
 class TestEngineInvariants:
     def test_determinism_bit_identical(self):
         def run():
