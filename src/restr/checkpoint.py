@@ -25,7 +25,8 @@ import numpy as np
 
 from .decoder import RestrParams, init_model
 from .encoders import ModelConfig
-from .runconfig import model_config_from_text, serialize_model_config
+from .runconfig import UsageError, model_config_from_text, serialize_model_config
+from .transformer import ConfigError
 
 MAGIC = b"RSTR"
 VERSION = 2
@@ -110,7 +111,10 @@ def load_checkpoint(path) -> tuple[ModelConfig, RestrParams, dict | None]:
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version} in {p} "
                               f"(this build reads version {VERSION})")
-    cfg = model_config_from_text(r.text("model config"))
+    try:
+        cfg = model_config_from_text(r.text("model config"))
+    except (UsageError, ConfigError) as exc:
+        raise CheckpointError(f"{p}: invalid model config: {exc}") from None
 
     # Structure comes from the config; blobs overwrite the fresh parameters.
     params = init_model(np.random.default_rng(0), cfg)

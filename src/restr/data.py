@@ -373,11 +373,15 @@ def load(data_dir) -> Dataset:
     except (OSError, ValueError) as exc:
         raise DataFormatError(f"unreadable vocabulary: {exc}") from exc
     samples: list[Sample] = []
+    seen: set[int] = set()
     for line in lines[1:]:
         fields = line.split()
         if len(fields) < 4 or not all(f.lstrip("-").isdigit() for f in fields):
             raise DataFormatError(f"malformed index line {line!r}")
         sid, h, w = int(fields[0]), int(fields[1]), int(fields[2])
+        if sid in seen:
+            raise DataFormatError(f"sample id {sid} appears twice in {index_path}")
+        seen.add(sid)
         token_ids = [int(v) for v in fields[3:]]
         for t in token_ids:
             if not 0 <= t < len(vocab):

@@ -138,14 +138,13 @@ def init_model(rng: np.random.Generator, cfg: ModelConfig) -> RestrParams:
 
 
 def forward(images: np.ndarray, token_ids: Sequence[Sequence[int]], params: RestrParams,
-            cfg: ModelConfig, sink_a: list | None = None,
-            sink_b: list | None = None, with_pixels: bool = True) -> PredictionPair:
+            cfg: ModelConfig, with_pixels: bool = True) -> PredictionPair:
     """Full pipeline on a batch of (B, H, W, C) images, one expression each:
     encode both modalities, fuse, classify patches, decode."""
     z_v = vision_encode(images, params.vision, cfg)
     z_l = language_encode(token_ids, params.language, cfg)
     pv, pl = project(z_v, z_l, params.fusion)
-    z_v_fused, e_s = fuse(pv, pl, params.fusion, sink_a, sink_b)
+    z_v_fused, e_s = fuse(pv, pl, params.fusion)
     patch_probs = patch_predict(z_v_fused, e_s)
     if not with_pixels:
         return PredictionPair(patch_probs=patch_probs, pixel_logits=None)

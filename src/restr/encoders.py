@@ -172,8 +172,7 @@ def init_language(rng: np.random.Generator, cfg: ModelConfig) -> LanguageParams:
     )
 
 
-def vision_encode(images: np.ndarray, params: VisionParams, cfg: ModelConfig,
-                  attn_sink: list | None = None) -> Tensor:
+def vision_encode(images: np.ndarray, params: VisionParams, cfg: ModelConfig) -> Tensor:
     """(B, H, W, C) images in [0, 1] -> patch features (B, n_patches, dim_vision)."""
     expected = (cfg.image_h, cfg.image_w, cfg.channels)
     if images.ndim != 4 or images.shape[1:] != expected:
@@ -183,7 +182,7 @@ def vision_encode(images: np.ndarray, params: VisionParams, cfg: ModelConfig,
         raise ValueError("image values must lie in [0, 1]")
     patches = Tensor(patchify(images, cfg.patch_size))
     emb = T.matmul(patches, params.w_patch) + params.b_patch
-    return encoder_stack(emb + params.pos, params.stack, attn_sink)
+    return encoder_stack(emb + params.pos, params.stack)
 
 
 def sinusoidal_table(n_pos: int, dim: int) -> np.ndarray:
@@ -212,7 +211,7 @@ def pad_token_ids(token_ids: Sequence[int], cfg: ModelConfig) -> list[int]:
 
 
 def language_encode(token_ids: Sequence[Sequence[int]], params: LanguageParams,
-                    cfg: ModelConfig, attn_sink: list | None = None) -> Tensor:
+                    cfg: ModelConfig) -> Tensor:
     """One id sequence per sample -> features (B, max_tokens, dim_language).
 
     Padding uses a learned PAD embedding; padded positions attend like any
@@ -221,7 +220,7 @@ def language_encode(token_ids: Sequence[Sequence[int]], params: LanguageParams,
     ids = np.array([pad_token_ids(seq, cfg) for seq in token_ids], dtype=np.int64)
     onehot = np.eye(cfg.vocab_size)[ids]
     emb = T.matmul(Tensor(onehot), params.embed)
-    return encoder_stack(emb + Tensor(params.pos_table), params.stack, attn_sink)
+    return encoder_stack(emb + Tensor(params.pos_table), params.stack)
 
 
 def vision_param_count(cfg: ModelConfig) -> int:

@@ -2,16 +2,21 @@
 attention probing, and the params/MACs profiler.
 
 All variants share the same two projected inputs and the same parameter
-budget: two sub-encoders of ``fusion_layers/2`` blocks each. Token tensors are
-(..., tokens, dim); leading axes are a batch and the seed is broadcast over it.
+budget: two sub-encoders, ``stack_a`` and ``stack_b``, of ``fusion_layers/2``
+blocks each. Token tensors are (..., tokens, dim); leading axes are a batch and
+the seed is broadcast over it. The variants differ only in the tokens that
+reach ``stack_b`` beside the seed, which is always its last token:
 
-* CME: blocks run on [visual ++ linguistic]; the seed then joins the
-  visually-attended linguistic tokens in the second sub-encoder.
-* IME: same visual-linguistic leg, but the seed leg sees the *raw* projected
-  linguistic tokens, so the seed never interacts with visual content.
-* VME: both sub-encoders run back-to-back over the joint sequence
-  [visual ++ linguistic ++ seed], giving the seed direct visual access.
+* CME: ``stack_a`` runs on [visual ++ linguistic]; ``stack_b`` on its
+  visually-attended linguistic tokens ++ seed.
 * CME_SHARED: CME with weights tied across the blocks of each sub-encoder.
+* IME: ``stack_b`` runs on the *raw* projected linguistic tokens ++ seed, so
+  the seed never interacts with visual content.
+* VME: both sub-encoders run back-to-back over [visual ++ linguistic ++ seed],
+  giving the seed direct visual access; the patch features come from
+  ``stack_b``.
+
+CME and IME take the patch features from ``stack_a``.
 """
 
 from __future__ import annotations
@@ -108,56 +113,29 @@ def _seed_tokens(params: FusionParams, like: Tensor) -> Tensor:
     return T.add(Tensor(np.zeros((*like.shape[:-2], 1, like.shape[-1]))), params.seed)
 
 
-def fuse_cme(z_v: Tensor, z_l: Tensor, params: FusionParams,
-             sink_a: list | None = None, sink_b: list | None = None
-             ) -> tuple[Tensor, Tensor, Tensor]:
-    """Returns (patch features, adaptive classifier, attended linguistic features)."""
-    n_v, n_l = z_v.shape[-2], z_l.shape[-2]
-    joint = encoder_stack(T.concat([z_v, z_l], axis=-2), params.stack_a, sink_a)
-    z_v_out = T.slice_axis(joint, -2, 0, n_v)
-    z_l_out = T.slice_axis(joint, -2, n_v, n_v + n_l)
-    seeded = encoder_stack(T.concat([z_l_out, _seed_tokens(params, z_l)], axis=-2),
-                           params.stack_b, sink_b)
-    e_s_out = T.slice_axis(seeded, -2, n_l, n_l + 1)
-    return z_v_out, e_s_out, z_l_out
-
-
-def fuse_vme(z_v: Tensor, z_l: Tensor, params: FusionParams,
-             sink_a: list | None = None, sink_b: list | None = None
-             ) -> tuple[Tensor, Tensor]:
-    """All tokens run through both sub-encoders together: [z_v ++ z_l ++ seed]."""
-    n_v, n_l = z_v.shape[-2], z_l.shape[-2]
-    joint = T.concat([z_v, z_l, _seed_tokens(params, z_l)], axis=-2)
-    h = encoder_stack(joint, params.stack_a, sink_a)
-    h = encoder_stack(h, params.stack_b, sink_b)
-    z_v_out = T.slice_axis(h, -2, 0, n_v)
-    e_s_out = T.slice_axis(h, -2, n_v + n_l, n_v + n_l + 1)
-    return z_v_out, e_s_out
-
-
-def fuse_ime(z_v: Tensor, z_l: Tensor, params: FusionParams,
-             sink_a: list | None = None, sink_b: list | None = None
-             ) -> tuple[Tensor, Tensor]:
-    """Seed leg consumes the raw projected linguistic tokens: no visual path."""
-    n_v, n_l = z_v.shape[-2], z_l.shape[-2]
-    joint = encoder_stack(T.concat([z_v, z_l], axis=-2), params.stack_a, sink_a)
-    z_v_out = T.slice_axis(joint, -2, 0, n_v)
-    seeded = encoder_stack(T.concat([z_l, _seed_tokens(params, z_l)], axis=-2),
-                           params.stack_b, sink_b)
-    e_s_out = T.slice_axis(seeded, -2, n_l, n_l + 1)
-    return z_v_out, e_s_out
-
-
 def fuse(z_v: Tensor, z_l: Tensor, params: FusionParams,
          sink_a: list | None = None, sink_b: list | None = None
          ) -> tuple[Tensor, Tensor]:
-    """Variant-agnostic entry: always (patch features, adaptive classifier)."""
-    if params.variant is FusionVariant.VME:
-        return fuse_vme(z_v, z_l, params, sink_a, sink_b)
-    if params.variant is FusionVariant.IME:
-        return fuse_ime(z_v, z_l, params, sink_a, sink_b)
-    z_v_out, e_s_out, _ = fuse_cme(z_v, z_l, params, sink_a, sink_b)
-    return z_v_out, e_s_out
+    """(patch features, adaptive classifier) for every variant.
+
+    ``stack_b`` runs on the tokens the module docstring routes to it; the
+    classifier is the seed, which is always ``stack_b``'s last token. Each
+    sink receives its stack's (..., H, n, n) attention, one array per block.
+    """
+    n_v, n_l = z_v.shape[-2], z_l.shape[-2]
+    vme = params.variant is FusionVariant.VME
+    seed = _seed_tokens(params, z_l)
+    joint = encoder_stack(T.concat([z_v, z_l, seed] if vme else [z_v, z_l], axis=-2),
+                          params.stack_a, sink_a)
+    if vme:
+        seeded = encoder_stack(joint, params.stack_b, sink_b)
+    else:
+        words = (z_l if params.variant is FusionVariant.IME
+                 else T.slice_axis(joint, -2, n_v, n_v + n_l))
+        seeded = encoder_stack(T.concat([words, seed], axis=-2), params.stack_b, sink_b)
+    n_b = seeded.shape[-2]
+    return (T.slice_axis(seeded if vme else joint, -2, 0, n_v),
+            T.slice_axis(seeded, -2, n_b - 1, n_b))
 
 
 # ---------------------------------------------------------------------------
@@ -204,15 +182,14 @@ def _seed_row_shares(attn: np.ndarray, n_v: int, n_l: int) -> np.ndarray:
 
 
 def attention_probe(params, cfg: "ModelConfig",
-                    samples: Iterable) -> AttnStats:
+                    samples: Iterable[tuple]) -> AttnStats:
     """Measure where the class seed attends, per fusion layer.
 
     ``params`` is the full model parameter bundle; ``samples`` yield
-    ``(image, token_ids)`` pairs (richer sample objects with ``.image`` and
-    ``.token_ids`` attributes also work). Scores are softmax mass from the
-    seed row, split into visual / linguistic / self segments, averaged over
-    heads and samples. Samples run one at a time, which bounds the memory
-    of the attention arrays kept for the probe.
+    ``(image, token_ids)`` pairs. Scores are softmax mass from the seed row,
+    split into visual / linguistic / self segments, averaged over heads and
+    samples. Samples run one at a time, which bounds the memory of the
+    attention arrays kept for the probe.
     """
     from .encoders import language_encode, vision_encode  # runtime import: encoders
     # imports FusionVariant from this module, so the top level must stay one-way
@@ -221,9 +198,7 @@ def attention_probe(params, cfg: "ModelConfig",
     totals: list[np.ndarray] | None = None
     n_samples = 0
     with T.no_grad():
-        for sample in samples:
-            image, ids = ((sample.image, sample.token_ids)
-                          if hasattr(sample, "image") else sample)
+        for image, ids in samples:
             z_v = vision_encode(np.asarray(image)[None], params.vision, cfg)
             z_l = language_encode([ids], params.language, cfg)
             pv, pl = project(z_v, z_l, fp)

@@ -7,8 +7,6 @@ samples whose own IoU reaches the threshold.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -19,14 +17,6 @@ from .decoder import forward
 
 PREC_THRESHOLDS = (0.5, 0.6, 0.7, 0.8, 0.9)
 DEFAULT_BUCKETS = "1-2,3,4-5,6-20"
-
-
-def worker_count() -> int:
-    """Worker cap from RESTR_THREADS (default 1: fully serial)."""
-    try:
-        return max(1, int(os.environ.get("RESTR_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def binarize(pixel_logits: np.ndarray) -> np.ndarray:
@@ -130,8 +120,7 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def _predict_mask(args) -> np.ndarray:
-    params, cfg, sample, use_decoder = args
+def _predict_mask(params, cfg, sample, use_decoder: bool) -> np.ndarray:
     with T.no_grad():
         pred = forward(np.asarray(sample.image)[None], [sample.token_ids], params, cfg,
                        with_pixels=use_decoder)
@@ -144,17 +133,11 @@ def _predict_mask(args) -> np.ndarray:
 
 def predicted_masks(params, cfg, dataset: Sequence,
                     use_decoder: bool = True) -> list[np.ndarray]:
-    """Binary masks for every sample; parallel when RESTR_THREADS > 1,
-    aggregated in dataset order either way. Each sample is its own forward
-    (a batch of one), which keeps peak memory at one sample's activations.
-    Without the decoder, the mask is the thresholded patch prediction
-    replicated to pixel resolution."""
-    jobs = [(params, cfg, s, use_decoder) for s in dataset]
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_predict_mask, jobs))
-    return [_predict_mask(j) for j in jobs]
+    """Binary masks for every sample, in dataset order. Each sample is its
+    own forward (a batch of one), which keeps peak memory at one sample's
+    activations. Without the decoder, the mask is the thresholded patch
+    prediction replicated to pixel resolution."""
+    return [_predict_mask(params, cfg, s, use_decoder) for s in dataset]
 
 
 def evaluate_model(params, cfg, dataset: Sequence,
@@ -183,10 +166,3 @@ def evaluate_model(params, cfg, dataset: Sequence,
         inter_unions=ius,
     )
 
-
-def cumulative_iou_of_model(params, cfg, dataset: Sequence,
-                            use_decoder: bool = True) -> float:
-    preds = predicted_masks(params, cfg, dataset, use_decoder=use_decoder)
-    gts = [np.asarray(s.mask)[:, :, 0] if np.asarray(s.mask).ndim == 3
-           else np.asarray(s.mask) for s in dataset]
-    return cumulative_iou(preds, gts)

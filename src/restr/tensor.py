@@ -103,9 +103,7 @@ class _Node:
 class _TapeState(threading.local):
     """Per-thread recording state.
 
-    Forward/backward of one graph stay on one thread (single-writer tape);
-    worker threads doing no-grad inference each get their own flag and tape,
-    so toggling grad mode in one thread never disturbs another.
+    Forward/backward of one graph stay on one thread (single-writer tape).
     """
 
     def __init__(self):

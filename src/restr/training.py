@@ -202,11 +202,18 @@ def train(params: RestrParams, model_cfg: ModelConfig, cfg: TrainConfig,
     once the global iteration count reaches it, without altering the
     schedule (so a later resume continues the very same run).
     """
-    from .metrics import cumulative_iou_of_model
+    from .metrics import evaluate_model
 
     if not dataset:
         raise ValueError("train needs a nonempty dataset")
     eval_set = dataset if eval_set is None else eval_set
+
+    def eval_iou() -> float:
+        # one bucket over every length, so no expression falls outside it
+        buckets = [(0, max((len(s.token_ids) for s in eval_set), default=0))]
+        return evaluate_model(params, model_cfg, eval_set, buckets=buckets,
+                              use_decoder=use_decoder).cumulative_iou
+
     opt = optimizer if optimizer is not None else AdamW(params.named_parameters(), cfg)
     labels = {id(s): patch_labels(np.asarray(s.mask), model_cfg.patch_size, cfg.tau)
               for s in dataset}
@@ -241,8 +248,7 @@ def train(params: RestrParams, model_cfg: ModelConfig, cfg: TrainConfig,
                           loss_patch=patch_term.item(),
                           loss_pixel=loss_pixel)
         if cfg.eval_every and iteration % cfg.eval_every == 0:
-            row.eval_iou = cumulative_iou_of_model(params, model_cfg, eval_set,
-                                                   use_decoder=use_decoder)
+            row.eval_iou = eval_iou()
             result.final_iou = row.eval_iou
         if iteration % cfg.log_every == 0 or row.eval_iou is not None:
             result.rows.append(row)
@@ -253,6 +259,5 @@ def train(params: RestrParams, model_cfg: ModelConfig, cfg: TrainConfig,
             result.stopped_at = iteration
             return result
     if cfg.eval_every and result.final_iou is None:
-        result.final_iou = cumulative_iou_of_model(params, model_cfg, eval_set,
-                                                   use_decoder=use_decoder)
+        result.final_iou = eval_iou()
     return result

@@ -16,11 +16,11 @@ import pytest
 import restr.tensor as T
 from restr.cli import main
 from restr.data import generate
-from restr.decoder import (decoder_channel_chain, forward, init_model,
-                           mask_features, patch_predict)
-from restr.encoders import ModelConfig
-from restr.fusion import (FusionVariant, attention_probe, fuse, fuse_ime,
-                          fuse_vme, init_fusion, profile)
+from restr.decoder import (decoder_channel_chain, init_model, mask_features,
+                           patch_predict)
+from restr.encoders import ModelConfig, language_encode, vision_encode
+from restr.fusion import (FusionVariant, attention_probe, fuse, init_fusion, profile,
+                          project)
 from restr.gradcheck import check_all_ops, check_model_gradients
 from restr.metrics import (cumulative_iou, intersection_union, parse_buckets,
                            prec_at, predicted_masks, sample_iou)
@@ -114,7 +114,9 @@ def test_a3_equation_oracles():
     params = init_model(np.random.default_rng(4), cfg)
     sink_a, sink_b = [], []
     rng2 = np.random.default_rng(5)
-    forward(rng2.uniform(size=(1, 16, 16, 3)), [[2, 3]], params, cfg, sink_a, sink_b)
+    pv, pl = project(vision_encode(rng2.uniform(size=(1, 16, 16, 3)), params.vision, cfg),
+                     language_encode([[2, 3]], params.language, cfg), params.fusion)
+    fuse(pv, pl, params.fusion, sink_a, sink_b)
     for attn in sink_a + sink_b:  # one (batch, heads, n, n) array per block
         npt.assert_allclose(attn.sum(axis=-1), np.ones(attn.shape[:-1]),
                             atol=1e-6)
@@ -143,16 +145,16 @@ def test_a4_shape_and_topology_contracts():
     seeds = []
     for _ in range(3):
         z_v = Tensor(rng.standard_normal((cfg.n_patches, cfg.dim_fusion)))
-        seeds.append(fuse_ime(z_v, z_l, fparams)[1].data)
+        seeds.append(fuse(z_v, z_l, fparams)[1].data)
     npt.assert_array_equal(seeds[0], seeds[1])
     npt.assert_array_equal(seeds[0], seeds[2])
 
     cfg_v = ModelConfig(**{**TINY, "fusion_variant": "vme"})
     vparams = init_fusion(np.random.default_rng(2), cfg_v)
     sink_a, sink_b = [], []
-    fuse_vme(Tensor(rng.standard_normal((cfg_v.n_patches, cfg_v.dim_fusion))),
-             Tensor(rng.standard_normal((cfg_v.max_tokens, cfg_v.dim_fusion))),
-             vparams, sink_a, sink_b)
+    fuse(Tensor(rng.standard_normal((cfg_v.n_patches, cfg_v.dim_fusion))),
+         Tensor(rng.standard_normal((cfg_v.max_tokens, cfg_v.dim_fusion))),
+         vparams, sink_a, sink_b)
     n = cfg_v.n_patches + cfg_v.max_tokens + 1
     assert all(attn.shape == (n, n) for heads in sink_a + sink_b for attn in heads)
     report(f"A4 PASS - P=16 decoder: K=4, chain {chain}; IME seed exactly "

@@ -139,6 +139,25 @@ class TestEval:
         assert main(["eval", "--ckpt", str(trained / "checkpoint.rstr"),
                      "--data", str(bad)]) == 2
 
+    def test_duplicate_sample_id(self, tmp_path, trained, dataset_dir):
+        bad = tmp_path / "dup"
+        shutil.copytree(dataset_dir, bad)
+        lines = (bad / "index.txt").read_text().splitlines()
+        lines[2] = "0" + lines[2][lines[2].index(" "):]  # ids 0 0 2 3 ...
+        (bad / "index.txt").write_text("\n".join(lines) + "\n")
+        assert main(["eval", "--ckpt", str(trained / "checkpoint.rstr"),
+                     "--data", str(bad)]) == 2
+
+    @pytest.mark.parametrize("old,new", [(b"image_h", b"Xmage_h"),
+                                         (b"patch_size = 4", b"patch_size = 3"),
+                                         (b"heads = 2", b"heads = 3")])
+    def test_corrupt_checkpoint_config(self, tmp_path, trained, dataset_dir, old, new):
+        blob = (trained / "checkpoint.rstr").read_bytes()
+        assert blob.count(old) == 1
+        bad = tmp_path / "bad.rstr"
+        bad.write_bytes(blob.replace(old, new))
+        assert main(["eval", "--ckpt", str(bad), "--data", str(dataset_dir)]) == 2
+
 
 class TestGradcheckCmd:
     def test_ops_scope_passes(self, capsys):
@@ -236,19 +255,6 @@ class TestAblateCmd:
     def test_unknown_sweep_key(self, tmp_path, dataset_dir):
         assert main(["ablate", "--what", "bogus", "--data", str(dataset_dir),
                      "--out", str(tmp_path / "x")]) == 1
-
-
-class TestThreads:
-    def test_parallel_eval_matches_serial(self, tmp_path, trained, dataset_dir,
-                                          monkeypatch):
-        outs = []
-        for name, threads in (("serial", "1"), ("parallel", "4")):
-            monkeypatch.setenv("RESTR_THREADS", threads)
-            out = tmp_path / name
-            assert main(["eval", "--ckpt", str(trained / "checkpoint.rstr"),
-                         "--data", str(dataset_dir), "--out", str(out)]) == 0
-            outs.append((out / "report.csv").read_bytes())
-        assert outs[0] == outs[1]
 
 
 class TestRenderCmd:

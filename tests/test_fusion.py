@@ -1,15 +1,18 @@
 """Fusion encoder: projection, variant topologies, attention probe, profiler."""
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import restr.tensor as T
 from restr.encoders import ModelConfig
-from restr.fusion import (FusionVariant, attention_probe, fuse, fuse_cme, fuse_ime,
-                          fuse_vme, init_fusion, profile, profile_all, project)
+from restr.fusion import (FusionVariant, attention_probe, fuse, init_fusion, profile,
+                          profile_all, project)
 from restr.gradcheck import grad_check, scalarized
 from restr.tensor import Tensor
+from restr.transformer import encoder_stack
 
 
 def make_cfg(variant="cme", n_v_side=4, n_l=5, d=16, fusion_layers=2):
@@ -72,19 +75,18 @@ class TestCme:
         cfg = make_cfg()
         params = init_fusion(np.random.default_rng(5), cfg)
         z_v, z_l = projected_inputs(cfg)
-        z_v_out, e_s, z_l_out = fuse_cme(z_v, z_l, params)
+        z_v_out, e_s = fuse(z_v, z_l, params)
         assert z_v_out.shape == (16, 16)
         assert e_s.shape == (1, 16)
-        assert z_l_out.shape == (5, 16)
 
     def test_visual_features_depend_on_language(self):
         cfg = make_cfg()
         params = init_fusion(np.random.default_rng(6), cfg)
         z_v, z_l = projected_inputs(cfg)
-        base = fuse_cme(z_v, z_l, params)[0].data
+        base = fuse(z_v, z_l, params)[0].data
         bumped = Tensor(z_l.data.copy())
         bumped.data[2, 0] += 1.0  # single component: survives the block's LN
-        changed = fuse_cme(z_v, bumped, params)[0].data
+        changed = fuse(z_v, bumped, params)[0].data
         assert np.abs(base - changed).max() > 1e-8
 
     def test_zeroed_seed_stack_gives_ln_of_seed(self):
@@ -94,7 +96,7 @@ class TestCme:
             block.w_out.data[:] = 0.0
             block.w_mlp2.data[:] = 0.0
         z_v, z_l = projected_inputs(cfg)
-        _, e_s, _ = fuse_cme(z_v, z_l, params)
+        _, e_s = fuse(z_v, z_l, params)
         expected = T.layer_norm(params.seed, params.stack_b.ln_f_gain,
                                 params.stack_b.ln_f_bias)
         npt.assert_array_equal(e_s.data, expected.data)
@@ -106,8 +108,8 @@ class TestCme:
             block.w_out.data[:] = 0.0  # kill cross-modal mixing in the vl stack
         z_v, z_l = projected_inputs(cfg)
         other_v = Tensor(np.random.default_rng(9).standard_normal(z_v.shape))
-        e1 = fuse_cme(z_v, z_l, params)[1].data
-        e2 = fuse_cme(other_v, z_l, params)[1].data
+        e1 = fuse(z_v, z_l, params)[1].data
+        e2 = fuse(other_v, z_l, params)[1].data
         npt.assert_array_equal(e1, e2)
 
 
@@ -117,7 +119,7 @@ class TestVme:
         params = init_fusion(np.random.default_rng(10), cfg)
         z_v, z_l = projected_inputs(cfg)
         sink_a, sink_b = [], []
-        z_v_out, e_s = fuse_vme(z_v, z_l, params, sink_a, sink_b)
+        z_v_out, e_s = fuse(z_v, z_l, params, sink_a, sink_b)
         assert z_v_out.shape == (16, 16) and e_s.shape == (1, 16)
         n = cfg.n_patches + cfg.max_tokens + 1
         for heads in sink_a + sink_b:
@@ -138,25 +140,71 @@ class TestIme:
         params = init_fusion(np.random.default_rng(11), cfg)
         z_v, z_l = projected_inputs(cfg)
         rng = np.random.default_rng(12)
-        e_ref = fuse_ime(z_v, z_l, params)[1].data
+        e_ref = fuse(z_v, z_l, params)[1].data
         for _ in range(3):
             other = Tensor(rng.standard_normal(z_v.shape))
-            e_other = fuse_ime(other, z_l, params)[1].data
+            e_other = fuse(other, z_l, params)[1].data
             npt.assert_array_equal(e_ref, e_other)  # exact, by topology
 
     def test_visual_branch_matches_cme(self):
         cfg = make_cfg("ime")
         params = init_fusion(np.random.default_rng(13), cfg)
         z_v, z_l = projected_inputs(cfg)
-        npt.assert_array_equal(fuse_ime(z_v, z_l, params)[0].data,
-                               fuse_cme(z_v, z_l, params)[0].data)
+        as_cme = dataclasses.replace(params, variant=FusionVariant.CME)
+        npt.assert_array_equal(fuse(z_v, z_l, params)[0].data,
+                               fuse(z_v, z_l, as_cme)[0].data)
 
     def test_shapes(self):
         cfg = make_cfg("ime")
         params = init_fusion(np.random.default_rng(14), cfg)
         z_v, z_l = projected_inputs(cfg)
-        z_v_out, e_s = fuse_ime(z_v, z_l, params)
+        z_v_out, e_s = fuse(z_v, z_l, params)
         assert z_v_out.shape == (16, 16) and e_s.shape == (1, 16)
+
+
+def written_out_routing(z_v, z_l, params):
+    """Each topology spelled out from the module docstring, op by op."""
+    n_v, n_l = z_v.shape[-2], z_l.shape[-2]
+    seed = T.add(Tensor(np.zeros((*z_l.shape[:-2], 1, z_l.shape[-1]))), params.seed)
+    if params.variant is FusionVariant.VME:
+        h = encoder_stack(T.concat([z_v, z_l, seed], axis=-2), params.stack_a)
+        h = encoder_stack(h, params.stack_b)
+        return T.slice_axis(h, -2, 0, n_v), T.slice_axis(h, -2, n_v + n_l, n_v + n_l + 1)
+    joint = encoder_stack(T.concat([z_v, z_l], axis=-2), params.stack_a)
+    z_v_out = T.slice_axis(joint, -2, 0, n_v)
+    if params.variant is FusionVariant.IME:
+        words = z_l
+    else:
+        words = T.slice_axis(joint, -2, n_v, n_v + n_l)
+    seeded = encoder_stack(T.concat([words, seed], axis=-2), params.stack_b)
+    return z_v_out, T.slice_axis(seeded, -2, n_l, n_l + 1)
+
+
+class TestTopologyKept:
+    @pytest.mark.parametrize("variant", list(FusionVariant))
+    def test_fuse_equals_written_out_routing(self, variant):
+        cfg = make_cfg(variant.value, fusion_layers=4)
+        params = init_fusion(np.random.default_rng(28), cfg)
+        rng = np.random.default_rng(29)
+        z_v = rng.standard_normal((2, cfg.n_patches, cfg.dim_fusion))
+        z_l = rng.standard_normal((2, cfg.max_tokens, cfg.dim_fusion))
+        w_v = Tensor(rng.standard_normal((2, cfg.n_patches, cfg.dim_fusion)))
+        w_e = Tensor(rng.standard_normal((2, 1, cfg.dim_fusion)))
+        leaves = [t for _, t, _ in params.named_parameters()]
+        runs = []
+        for route in (fuse, written_out_routing):
+            inputs = [Tensor(z_v, requires_grad=True), Tensor(z_l, requires_grad=True)]
+            for t in leaves:
+                t.grad = None
+            T.reset_graph()
+            out_v, out_e = route(*inputs, params)
+            T.backward(T.add(T.sum_all(T.hadamard(out_v, w_v)),
+                             T.sum_all(T.hadamard(out_e, w_e))))
+            runs.append([out_v.data, out_e.data]
+                        + [t.grad.copy() for t in inputs + leaves if t.grad is not None])
+        assert len(runs[0]) == len(runs[1])
+        for got, want in zip(*runs):
+            npt.assert_array_equal(got, want)
 
 
 class TestDispatchAndSharing:
@@ -185,7 +233,7 @@ class TestAttentionProbe:
         params = init_fusion(np.random.default_rng(17), cfg)
         z_v, z_l = projected_inputs(cfg, seed=18)
         sink_a, sink_b = [], []
-        fuse_vme(z_v, z_l, params, sink_a, sink_b)
+        fuse(z_v, z_l, params, sink_a, sink_b)
         n_v, n_l = cfg.n_patches, cfg.max_tokens
         seed_row = sink_a[0][0][n_v + n_l]
         expected_v = n_v / (n_v + n_l + 1)

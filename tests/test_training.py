@@ -1,5 +1,6 @@
 """Training pipeline: patch labels, loss, LR schedule, AdamW, loop determinism."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from restr.data import generate
 from restr.decoder import forward, init_model
 from restr.encoders import ModelConfig, patchify
+from restr.metrics import cumulative_iou, predicted_masks
 from restr.tensor import Tensor
 from restr.training import (AdamW, TrainConfig, batch_indices, lr_at,
                             patch_labels, segmentation_loss, train)
@@ -258,6 +260,21 @@ class TestTrainLoop:
         first = np.mean([r.loss_total for r in res.rows[:5]])
         last = np.mean([r.loss_total for r in res.rows[-5:]])
         assert last < first
+
+    def test_periodic_eval_covers_long_expressions(self, setup):
+        # 21 tokens: past max_tokens and past the default report buckets
+        cfg, ds = setup
+        params = init_model(np.random.default_rng(5), cfg)
+        eval_set = [dataclasses.replace(ds.samples[0], token_ids=[2] * 21),
+                    *ds.samples[1:]]
+        tc = TrainConfig(base_lr=1e-4, warmup_iters=1, total_iters=2,
+                         batch_size=2, seed=13, eval_every=1)
+        with pytest.warns(UserWarning, match="truncated"):
+            res = train(params, cfg, tc, ds.samples, eval_set=eval_set)
+            masks = predicted_masks(params, cfg, eval_set)
+        assert [r.iteration for r in res.rows if r.eval_iou is not None] == [1, 2]
+        gts = [np.asarray(s.mask)[:, :, 0] for s in eval_set]
+        assert res.rows[-1].eval_iou == res.final_iou == cumulative_iou(masks, gts)
 
 
 class TestBatchInvariance:
