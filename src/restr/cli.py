@@ -30,7 +30,7 @@ from .gradcheck import check_all_ops, check_model_gradients
 from .metrics import DEFAULT_BUCKETS, evaluate_model
 from .render import render_sample
 from .runconfig import ALL_KEYS, UsageError, build_configs, load_config_file
-from .training import AdamW, TrainConfig, train
+from .training import AdamW, NonFiniteLossError, TrainConfig, train
 from .transformer import ConfigError
 
 LAMBDA_GRID = (0.01, 0.05, 0.1, 0.5, 1.0)
@@ -187,10 +187,12 @@ def cmd_eval(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "report.csv").write_text("\n".join(report.csv_rows()) + "\n",
-                                        encoding="utf-8")
-        (out / "report.txt").write_text(report.text_table() + "\n", encoding="utf-8")
-        print(f"wrote {out / 'report.csv'} and {out / 'report.txt'}")
+        files = {"report.csv": "\n".join(report.csv_rows()),
+                 "report.txt": report.text_table(),
+                 "ious.csv": "\n".join(report.iou_csv_rows())}
+        for name, text in files.items():
+            (out / name).write_text(text + "\n", encoding="utf-8")
+        print(f"wrote {', '.join(str(out / name) for name in files)}")
     return 0
 
 
@@ -303,7 +305,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (dsmod.DataFormatError, dsmod.GenerationError, CheckpointError,
-            OSError) as exc:
+            NonFiniteLossError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

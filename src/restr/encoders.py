@@ -49,6 +49,10 @@ class ModelConfig:
     def __post_init__(self):
         if isinstance(self.fusion_variant, str):
             self.fusion_variant = FusionVariant.parse(self.fusion_variant)
+        for name in ("image_h", "image_w", "channels", "dim_vision", "vision_layers",
+                     "dim_language", "language_layers", "dim_fusion", "heads"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         p = self.patch_size
         if p < 2 or (p & (p - 1)):
             raise ConfigError(f"patch_size must be a power of two >= 2, got {p}")

@@ -110,6 +110,12 @@ class EvalReport:
             rows.append(f"bucket_iou,{lo}-{hi},{v:.6f}")
         return rows
 
+    def iou_csv_rows(self) -> list[str]:
+        """One row per sample, in dataset order: index, IoU, intersection, union."""
+        return ["sample,iou,intersection,union"] + [
+            f"{k},{iou:.6f},{inter},{union}"
+            for k, (iou, (inter, union)) in enumerate(zip(self.ious, self.inter_unions))]
+
     def text_table(self) -> str:
         lines = [f"samples          {self.n_samples}",
                  f"cumulative IoU   {self.cumulative_iou:.4f}"]

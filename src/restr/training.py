@@ -23,6 +23,10 @@ from .encoders import ModelConfig, patchify
 from .transformer import ConfigError
 
 
+class NonFiniteLossError(RuntimeError):
+    """A loss term came out NaN or infinite; training stops before the step."""
+
+
 @dataclass
 class TrainConfig:
     """Optimization hyperparameters; defaults follow the reference recipe."""
@@ -239,13 +243,19 @@ def train(params: RestrParams, model_cfg: ModelConfig, cfg: TrainConfig,
         else:
             batch_loss = patch_term = T.bce(pred.patch_probs, Tensor(y_p))
             loss_pixel = 0.0
+        loss_patch = patch_term.item()
+        bad = [f"{name} term is {value}" for name, value
+               in (("patch", loss_patch), ("pixel", loss_pixel)) if not np.isfinite(value)]
+        if bad:
+            raise NonFiniteLossError(f"non-finite loss at iteration {iteration}: "
+                                     + ", ".join(bad))
         T.backward(batch_loss)
         lr = lr_at(iteration, cfg)
         opt.step(lr)
 
         row = TrainLogRow(iteration=iteration, lr=lr,
                           loss_total=batch_loss.item(),
-                          loss_patch=patch_term.item(),
+                          loss_patch=loss_patch,
                           loss_pixel=loss_pixel)
         if cfg.eval_every and iteration % cfg.eval_every == 0:
             row.eval_iou = eval_iou()

@@ -6,11 +6,19 @@ one fused linear map ``w_qkv`` (d, 3d) gives the queries, keys and values of
 every head; attention runs over (..., heads, tokens, head_dim), and the
 concatenated head outputs pass through a single output projection. Tokens
 are (..., n, d): any leading axes are a batch.
+
+Attention itself is one tape op, :func:`restr.tensor.attention`. It takes
+query rows in blocks of a fixed score budget (8 MiB of float64) and writes
+each block's scores, softmax and product with v while the block is in
+cache, so a no-grad forward holds one block of scores at a time. The full
+(..., heads, n, n) probabilities are kept only when the op is recorded for
+backward or an ``attn_sink`` asks for them. Shapes whose scores fit the
+budget (every A5 shape) run as one block, with the arithmetic of separate
+matmul and softmax ops.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,25 +158,18 @@ def self_attention(z: Tensor, block: BlockParams,
     """Scaled dot-product attention of every head at once: (..., n, d) tokens
     in, the heads' outputs concatenated to (..., n, d) out.
 
-    ``1/sqrt(head_dim)`` is folded into q, and softmax writes into one new
-    buffer, so at most two (..., H, n, n) arrays are live: the scores and
-    their softmax. Appends the row-stochastic (..., H, n, n) attention to
-    ``attn_sink`` when requested.
+    One fused op, :func:`restr.tensor.attention`, computes every head from the
+    packed (..., 3H, n, head_dim) queries, keys and values. Appends the
+    row-stochastic (..., H, n, n) attention to ``attn_sink`` when requested.
     """
     *lead, n, d = z.shape
     h = block.heads
-    dh = d // h
     b = len(lead)
     swap = (*range(b), b + 1, b, b + 2)  # (..., x, y, dh) <-> (..., y, x, dh)
     qkv = T.matmul(z, block.w_qkv) + block.b_qkv
-    qkv = T.transpose(T.reshape(qkv, (*lead, n, 3 * h, dh)), swap)  # (..., 3h, n, dh)
-    q = T.scale(T.slice_axis(qkv, -3, 0, h), 1.0 / math.sqrt(dh))
-    k = T.slice_axis(qkv, -3, h, 2 * h)
-    v = T.slice_axis(qkv, -3, 2 * h, 3 * h)
-    attn = T.softmax(T.matmul(q, T.transpose(k)), axis=-1)
-    if attn_sink is not None:
-        attn_sink.append(attn.data)
-    return T.reshape(T.transpose(T.matmul(attn, v), swap), (*lead, n, d))
+    qkv = T.transpose(T.reshape(qkv, (*lead, n, 3 * h, d // h)), swap)  # (..., 3h, n, dh)
+    heads = T.attention(qkv, h, attn_sink)
+    return T.reshape(T.transpose(heads, swap), (*lead, n, d))
 
 
 def msa(z: Tensor, block: BlockParams, attn_sink: list | None = None) -> Tensor:

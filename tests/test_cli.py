@@ -6,6 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
+from restr.checkpoint import load_checkpoint, save_checkpoint
 from restr.cli import main
 from restr.data import load
 
@@ -107,6 +108,16 @@ class TestTrain:
         next_full, next_resumed = full_losses[4], resumed_losses[4]
         assert abs(next_full - next_resumed) / abs(next_full) < 1e-4
 
+    def test_nan_weight_stops_training(self, tmp_path, trained, dataset_dir, capsys):
+        cfg, params, opt_state = load_checkpoint(trained / "checkpoint.rstr")
+        params.decoder.w_final.data[0, 0] = np.nan
+        bad = tmp_path / "nan.rstr"
+        save_checkpoint(bad, cfg, params, opt_state)
+        assert main(["train", "--data", str(dataset_dir), "--out", str(tmp_path / "o"),
+                     "--resume", str(bad), "--quiet", "--total_iters", "6",
+                     *TRAIN_FLAGS]) == 2
+        assert "iteration 5: pixel term is nan" in capsys.readouterr().err
+
 
 class TestEval:
     def test_eval_deterministic_reports(self, tmp_path, trained, dataset_dir):
@@ -125,6 +136,17 @@ class TestEval:
                      "--data", str(dataset_dir), "--out", str(out)]) == 0
         text = (out / "report.csv").read_text()
         assert "cumulative_iou" in text and "prec,0.5" in text
+        with open(out / "ious.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(r["sample"]) for r in rows] == list(range(8))
+        inter = sum(int(r["intersection"]) for r in rows)
+        union = sum(int(r["union"]) for r in rows)
+        cumulative = float(text.split("cumulative_iou,,")[1].split()[0])
+        assert abs(inter / union - cumulative) < 1e-6
+        for r in rows:
+            u = int(r["union"])
+            iou = int(r["intersection"]) / u if u else 1.0
+            assert abs(float(r["iou"]) - iou) < 1e-6
 
     def test_missing_checkpoint(self, tmp_path, dataset_dir):
         assert main(["eval", "--ckpt", str(tmp_path / "no.rstr"),
@@ -150,7 +172,9 @@ class TestEval:
 
     @pytest.mark.parametrize("old,new", [(b"image_h", b"Xmage_h"),
                                          (b"patch_size = 4", b"patch_size = 3"),
-                                         (b"heads = 2", b"heads = 3")])
+                                         (b"heads = 2", b"heads = 3"),
+                                         (b"image_h = 32", b"image_h = -8"),
+                                         (b"heads = 2", b"heads = 0")])
     def test_corrupt_checkpoint_config(self, tmp_path, trained, dataset_dir, old, new):
         blob = (trained / "checkpoint.rstr").read_bytes()
         assert blob.count(old) == 1

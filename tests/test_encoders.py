@@ -56,6 +56,14 @@ class TestModelConfig:
             ModelConfig(image_h=64, image_w=64, patch_size=16, dim_fusion=4, heads=2,
                         dim_vision=16, dim_language=16)
 
+    @pytest.mark.parametrize("field,value", [
+        ("image_h", -8), ("image_w", 0), ("channels", 0), ("channels", -3),
+        ("dim_vision", 0), ("vision_layers", 0), ("dim_language", -16),
+        ("language_layers", 0), ("dim_fusion", -64), ("heads", 0), ("heads", -2)])
+    def test_non_positive_size_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ModelConfig(**{field: value})
+
     def test_variant_parsed_from_string(self):
         from restr.fusion import FusionVariant
         cfg = ModelConfig(fusion_variant="ime")

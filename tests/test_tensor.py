@@ -5,6 +5,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import restr.tensor as T
 from restr.tensor import GraphError, ShapeError, Tensor
@@ -79,6 +81,100 @@ class TestSoftmax:
     def test_invalid_axis(self):
         with pytest.raises(ShapeError):
             T.softmax(Tensor(np.zeros((2, 2))), axis=2)
+
+
+def packed_qkv(rng, batch, n, heads, dh, grad=True):
+    """A (batch, n, 3h, dh) leaf and its (batch, 3h, n, dh) view, as
+    ``self_attention`` packs them."""
+    leaf = tensor(rng.standard_normal((batch, n, 3 * heads, dh)), grad)
+    return leaf, T.transpose(leaf, (0, 2, 1, 3))
+
+
+def attention_chain(qkv, heads):
+    """Attention as separate tape ops: slices, scale, q·kᵀ, softmax, ·v."""
+    dh = qkv.shape[-1]
+    q = T.scale(T.slice_axis(qkv, -3, 0, heads), 1.0 / math.sqrt(dh))
+    k = T.slice_axis(qkv, -3, heads, 2 * heads)
+    v = T.slice_axis(qkv, -3, 2 * heads, 3 * heads)
+    return T.matmul(T.softmax(T.matmul(q, T.transpose(k)), axis=-1), v)
+
+
+def attention_and_grad(f, seed, batch, n, heads, dh):
+    """Output, qkv gradient and sink of ``f`` under a fixed output adjoint."""
+    rng = np.random.default_rng(seed)
+    leaf, qkv = packed_qkv(rng, batch, n, heads, dh)
+    sink = []
+    out = f(qkv, heads, sink)
+    T.backward(T.sum_all(T.hadamard(out, Tensor(rng.standard_normal(out.shape)))))
+    return out.data, leaf.grad, sink
+
+
+def assert_close(actual, desired):
+    npt.assert_allclose(actual, desired, rtol=1e-12, atol=1e-12 * np.abs(desired).max())
+
+
+class TestAttention:
+    @pytest.mark.parametrize("batch,n,heads,dh", [(8, 84, 4, 16), (8, 21, 4, 16),
+                                                  (1, 7, 2, 3), (3, 1, 1, 4)])
+    def test_one_block_equals_op_chain(self, batch, n, heads, dh):
+        assert batch * heads * n * n <= T._ATTENTION_BLOCK_SCORES  # one block
+        out, grad, _ = attention_and_grad(lambda qkv, h, sink: attention_chain(qkv, h),
+                                          0, batch, n, heads, dh)
+        fused, fused_grad, _ = attention_and_grad(T.attention, 0, batch, n, heads, dh)
+        assert_close(fused, out)
+        assert_close(fused_grad, grad)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 24), st.integers(1, 3), st.integers(1, 5),
+           st.integers(1, 30), st.integers(0, 2**16))
+    def test_blocks_equal_one_block(self, batch, n, heads, dh, rows, seed):
+        whole = attention_and_grad(T.attention, seed, batch, n, heads, dh)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(T, "_ATTENTION_BLOCK_SCORES", rows * batch * heads * n)
+            blocked = attention_and_grad(T.attention, seed, batch, n, heads, dh)
+            with T.no_grad():
+                _, qkv = packed_qkv(np.random.default_rng(seed), batch, n, heads, dh)
+                scratch_out = T.attention(qkv, heads).data
+                sink = []
+                sink_out = T.attention(qkv, heads, sink).data
+        for actual, desired in zip(blocked, whole):
+            assert_close(np.asarray(actual), np.asarray(desired))
+        assert_close(scratch_out, whole[0])
+        assert_close(sink_out, whole[0])
+        assert_close(sink[0], whole[2][0])
+
+    @pytest.mark.parametrize("rows", [3, 1000])
+    @pytest.mark.parametrize("grad", [True, False])
+    def test_sink_gets_row_stochastic_probs(self, monkeypatch, rows, grad):
+        batch, n, heads = 2, 10, 3
+        monkeypatch.setattr(T, "_ATTENTION_BLOCK_SCORES", rows * batch * heads * n)
+        _, qkv = packed_qkv(np.random.default_rng(5), batch, n, heads, 4, grad)
+        sink = []
+        T.attention(qkv, heads, sink)
+        assert sink[0].shape == (batch, heads, n, n)
+        assert (sink[0] > 0).all()
+        npt.assert_allclose(sink[0].sum(axis=-1), 1.0, atol=1e-12)
+
+    def test_macs_closed_form(self):
+        batch, n, heads, dh = 3, 11, 2, 5
+        _, qkv = packed_qkv(np.random.default_rng(6), batch, n, heads, dh, grad=False)
+        with T.count_macs() as counter:
+            T.attention(qkv, heads)
+        assert counter.macs == 2 * batch * heads * n * n * dh
+
+    def test_one_tape_node(self):
+        T.reset_graph()
+        _, qkv = packed_qkv(np.random.default_rng(7), 2, 5, 2, 3)
+        out = T.attention(qkv, 2)
+        assert out.op == "attention" and out.shape == (2, 2, 5, 3)
+        assert [node.tag for node in T._state.tape] == ["transpose", "attention"]
+        T.reset_graph()
+
+    @pytest.mark.parametrize("shape,heads", [((2, 5, 3), 2), ((7, 5, 3), 2),
+                                             ((6, 3), 2), ((6, 5, 3), 0)])
+    def test_bad_packing_rejected(self, shape, heads):
+        with pytest.raises(ShapeError):
+            T.attention(Tensor(np.zeros(shape)), heads)
 
 
 class TestLayerNorm:

@@ -14,8 +14,8 @@ from restr.decoder import forward, init_model
 from restr.encoders import ModelConfig, patchify
 from restr.metrics import cumulative_iou, predicted_masks
 from restr.tensor import Tensor
-from restr.training import (AdamW, TrainConfig, batch_indices, lr_at,
-                            patch_labels, segmentation_loss, train)
+from restr.training import (AdamW, NonFiniteLossError, TrainConfig, batch_indices,
+                            lr_at, patch_labels, segmentation_loss, train)
 from restr.transformer import ConfigError
 
 
@@ -275,6 +275,28 @@ class TestTrainLoop:
         assert [r.iteration for r in res.rows if r.eval_iou is not None] == [1, 2]
         gts = [np.asarray(s.mask)[:, :, 0] for s in eval_set]
         assert res.rows[-1].eval_iou == res.final_iou == cumulative_iou(masks, gts)
+
+
+class TestNonFiniteLoss:
+    @pytest.mark.parametrize("name,term", [("decoder.final.w", "pixel term is nan"),
+                                           ("vision.patch.w", "patch term is nan")])
+    def test_nan_weight_stops_before_the_step(self, setup, name, term):
+        cfg, ds = setup
+        params = init_model(np.random.default_rng(6), cfg)
+        named = {n: t for n, t, _ in params.named_parameters()}
+
+        def poison(row):  # after the step of iteration 2
+            if row.iteration == 2:
+                named[name].data[0, 0] = np.nan
+
+        tc = TrainConfig(base_lr=1e-4, warmup_iters=1, total_iters=4, batch_size=2, seed=3)
+        with pytest.raises(NonFiniteLossError, match=f"iteration 3: {term}"):
+            train(params, cfg, tc, ds.samples, on_log=poison)
+        before = {n: t.data.copy() for n, t in named.items()}
+        with pytest.raises(NonFiniteLossError, match=f"iteration 1: {term}"):
+            train(params, cfg, tc, ds.samples)
+        for n, t in named.items():  # the failed iteration stepped no weight
+            npt.assert_array_equal(t.data, before[n])
 
 
 class TestBatchInvariance:
