@@ -129,15 +129,14 @@ def load_checkpoint(path) -> tuple[ModelConfig, RestrParams, dict | None]:
         name = r.text("a parameter name")
         ndim = r.u32()
         shape = struct.unpack(f"<{ndim}I", r.take(4 * ndim))
-        count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-        data = np.frombuffer(r.take(4 * count), dtype="<f4").astype(np.float64)
         t = by_name.get(name)
         if t is None:
             raise CheckpointError(f"{p}: unexpected parameter {name!r}")
         if tuple(shape) != t.data.shape:
             raise CheckpointError(f"{p}: parameter {name!r} has shape {shape}, "
                                   f"config implies {t.data.shape}")
-        t.data = data.reshape(shape)
+        t.data = np.frombuffer(r.take(4 * t.data.size), dtype="<f4").astype(
+            np.float64).reshape(shape)
         shapes.append(tuple(shape))
 
     has_opt = struct.unpack("<B", r.take(1))[0]

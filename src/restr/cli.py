@@ -165,13 +165,15 @@ def cmd_train(args) -> int:
         if not args.quiet:
             iou = "" if row.eval_iou is None else f" iou {row.eval_iou:.4f}"
             print(f"iter {row.iteration:6d} lr {row.lr:<10.4g} "
-                  f"loss {row.loss_total:.5f}{iou}", flush=True)
+                  f"loss {row.loss_total:.5f} grad_norm {row.grad_norm:.4g} "
+                  f"{row.samples_per_s:.1f} samples/s{iou}", flush=True)
 
     result = train(params, model_cfg, train_cfg, dataset.samples,
                    stop_at_iou=args.stop_at_iou, stop_after=args.stop_after,
                    optimizer=optimizer, on_log=report)
     save_checkpoint(out / "checkpoint.rstr", model_cfg, params, optimizer.state())
     result.write_csv(out / "train_log.csv")
+    result.write_timing_csv(out / "train_timing.csv")
     print(f"checkpoint: {out / 'checkpoint.rstr'}")
     print(f"log: {out / 'train_log.csv'}")
     if result.final_iou is not None:

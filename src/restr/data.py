@@ -13,6 +13,8 @@ the same integer membership test.
 from __future__ import annotations
 
 import hashlib
+import os
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -32,6 +34,7 @@ MIN_CANVAS = 32
 MIN_RELATION_FRACTION = 0.3
 INDEX_MAGIC = "RSTRDS"
 INDEX_VERSION = 1
+_DECIMAL = re.compile(r"-?[0-9]+")  # index fields; str.isdigit also accepts "²"
 
 
 class GenerationError(RuntimeError):
@@ -337,20 +340,40 @@ def generate(seed: int, count: int, h: int, w: int,
 # ---------------------------------------------------------------------------
 
 def save(dataset: Dataset, out_dir) -> None:
-    """Write index.txt, vocab.txt, and per-sample .img/.msk blobs."""
+    """Write index.txt, vocab.txt, and per-sample .img/.msk blobs.
+
+    Every file is first written in full under a ``.tmp`` name. Only then is
+    the old index removed and each file renamed into place, index.txt last.
+    A save that fails while writing leaves an existing dataset untouched; one
+    interrupted while renaming leaves no index, so the directory never loads
+    as a mix of old and new files.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    save_vocab(dataset.vocab, out / "vocab.txt")
-    lines = [f"{INDEX_MAGIC} {INDEX_VERSION}"]
-    for i, s in enumerate(dataset.samples):
-        h, w, _ = s.image.shape
-        ids = " ".join(str(t) for t in s.token_ids)
-        lines.append(f"{i} {h} {w} {ids}")
-        (out / f"{i:04d}.img").write_bytes(
-            np.ascontiguousarray(s.image, dtype="<f4").tobytes())
-        (out / f"{i:04d}.msk").write_bytes(
-            np.ascontiguousarray(s.mask.reshape(-1), dtype=np.uint8).tobytes())
-    (out / "index.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    staged: list[Path] = []
+
+    def stage(name: str) -> Path:
+        staged.append(out / f"{name}.tmp")
+        return staged[-1]
+
+    try:
+        save_vocab(dataset.vocab, stage("vocab.txt"))
+        lines = [f"{INDEX_MAGIC} {INDEX_VERSION}"]
+        for i, s in enumerate(dataset.samples):
+            h, w, _ = s.image.shape
+            ids = " ".join(str(t) for t in s.token_ids)
+            lines.append(f"{i} {h} {w} {ids}")
+            stage(f"{i:04d}.img").write_bytes(
+                np.ascontiguousarray(s.image, dtype="<f4").tobytes())
+            stage(f"{i:04d}.msk").write_bytes(
+                np.ascontiguousarray(s.mask.reshape(-1), dtype=np.uint8).tobytes())
+        stage("index.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        (out / "index.txt").unlink(missing_ok=True)
+        for tmp in staged:
+            os.replace(tmp, tmp.with_suffix(""))
+    finally:
+        for tmp in staged:
+            tmp.unlink(missing_ok=True)
 
 
 def load(data_dir) -> Dataset:
@@ -359,12 +382,15 @@ def load(data_dir) -> Dataset:
     index_path = root / "index.txt"
     if not index_path.is_file():
         raise DataFormatError(f"no index.txt in {root}")
-    lines = [ln for ln in index_path.read_text(encoding="utf-8").splitlines()
-             if ln.strip()]
+    try:
+        text = index_path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{index_path} is not valid UTF-8 (byte {exc.start})") from None
+    lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise DataFormatError(f"empty index at {index_path}")
     header = lines[0].split()
-    if len(header) != 2 or header[0] != INDEX_MAGIC or not header[1].isdigit():
+    if len(header) != 2 or header[0] != INDEX_MAGIC or not _DECIMAL.fullmatch(header[1]):
         raise DataFormatError(f"bad index header {lines[0]!r}")
     if int(header[1]) != INDEX_VERSION:
         raise DataFormatError(f"unknown dataset version {header[1]}")
@@ -376,9 +402,11 @@ def load(data_dir) -> Dataset:
     seen: set[int] = set()
     for line in lines[1:]:
         fields = line.split()
-        if len(fields) < 4 or not all(f.lstrip("-").isdigit() for f in fields):
+        if len(fields) < 4 or not all(_DECIMAL.fullmatch(f) for f in fields):
             raise DataFormatError(f"malformed index line {line!r}")
         sid, h, w = int(fields[0]), int(fields[1]), int(fields[2])
+        if h < 1 or w < 1:
+            raise DataFormatError(f"sample {sid}: image size {h}x{w} is not positive")
         if sid in seen:
             raise DataFormatError(f"sample id {sid} appears twice in {index_path}")
         seen.add(sid)

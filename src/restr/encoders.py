@@ -19,8 +19,7 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor
 from .transformer import (ConfigError, StackParams, TransformerConfig, _weight,
-                          _zeros, encoder_stack, init_stack, stack_param_count,
-                          trunc_normal)
+                          _zeros, encoder_stack, init_stack, trunc_normal)
 from .fusion import FusionVariant
 
 PAD_ID = 0
@@ -122,16 +121,6 @@ def patchify(image: np.ndarray, patch_size: int) -> np.ndarray:
     return np.ascontiguousarray(grid.reshape(*lead, h // p * (w // p), p * p * c))
 
 
-def unpatchify(patches: np.ndarray, h: int, w: int, c: int) -> np.ndarray:
-    """Exact inverse of :func:`patchify`."""
-    n, flat = patches.shape
-    p = int(round(math.sqrt(flat // c)))
-    if p * p * c != flat or n * p * p != h * w:
-        raise ConfigError(f"patches {patches.shape} do not tile {h}x{w}x{c}")
-    grid = patches.reshape(h // p, w // p, p, p, c).transpose(0, 2, 1, 3, 4)
-    return np.ascontiguousarray(grid.reshape(h, w, c))
-
-
 @dataclass
 class VisionParams:
     w_patch: Tensor
@@ -225,13 +214,6 @@ def language_encode(token_ids: Sequence[Sequence[int]], params: LanguageParams,
     onehot = np.eye(cfg.vocab_size)[ids]
     emb = T.matmul(Tensor(onehot), params.embed)
     return encoder_stack(emb + Tensor(params.pos_table), params.stack)
-
-
-def vision_param_count(cfg: ModelConfig) -> int:
-    """Closed-form count for the vision side (embed + positions + stack)."""
-    embed = cfg.patch_dim * cfg.dim_vision + cfg.dim_vision
-    positions = cfg.n_patches * cfg.dim_vision
-    return embed + positions + stack_param_count(cfg.vision_tfm())
 
 
 def save_vocab(tokens: Sequence[str], path) -> None:

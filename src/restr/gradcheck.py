@@ -116,10 +116,6 @@ def scalarized(f_raw: Callable[..., Tensor], weight_seed: int) -> Callable[..., 
     return f
 
 
-def _away_from_kinks(x: np.ndarray, margin: float = 1e-2) -> np.ndarray:
-    return x + np.sign(x) * margin + (x == 0) * margin
-
-
 def op_check_suite(seed: int, eps: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
     """One full sweep of per-operation finite-difference checks at ``seed``."""
     rng = np.random.default_rng(seed)
@@ -164,8 +160,6 @@ def op_check_suite(seed: int, eps: float = 1e-5, tol: float = 1e-4) -> GradCheck
         [Tensor(rng.standard_normal((p, q))), Tensor(rng.standard_normal((p, 1)))])
 
     run("gelu", lambda x: T.gelu(x), [Tensor(rng.standard_normal((3, 5)) * 2.0)])
-    run("relu", lambda x: T.relu(x),
-        [Tensor(_away_from_kinks(rng.standard_normal((3, 5))))])
     run("sigmoid", lambda x: T.sigmoid(x), [Tensor(rng.standard_normal((3, 5)) * 2.0)])
 
     r1, r2 = (int(v) for v in rng.integers(2, 5, size=2))

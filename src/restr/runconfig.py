@@ -84,7 +84,11 @@ def load_config_file(path) -> dict[str, str]:
     p = Path(path)
     if not p.is_file():
         raise UsageError(f"config file not found: {p}")
-    return parse_config_text(p.read_text(encoding="utf-8"))
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"config file {p} is not valid UTF-8 (byte {exc.start})") from None
+    return parse_config_text(text)
 
 
 def serialize_model_config(cfg: ModelConfig) -> str:
@@ -94,11 +98,6 @@ def serialize_model_config(cfg: ModelConfig) -> str:
         if isinstance(value, FusionVariant):
             value = value.value
         lines.append(f"{f.name} = {value}")
-    return "\n".join(lines) + "\n"
-
-
-def serialize_train_config(cfg: TrainConfig) -> str:
-    lines = [f"{f.name} = {getattr(cfg, f.name)}" for f in dataclasses.fields(TrainConfig)]
     return "\n".join(lines) + "\n"
 
 

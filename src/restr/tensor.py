@@ -456,16 +456,6 @@ def gelu(x: Tensor) -> Tensor:
     return _record("gelu", (x,), out_data, bwd)
 
 
-def relu(x: Tensor) -> Tensor:
-    out_data = np.maximum(x.data, 0.0)
-
-    def bwd(g: np.ndarray) -> None:
-        if x.requires_grad:
-            _accum(x, g * (x.data > 0.0))
-
-    return _record("relu", (x,), out_data, bwd)
-
-
 def sigmoid(x: Tensor) -> Tensor:
     """Numerically stable logistic function."""
     y = np.where(x.data >= 0,
@@ -575,36 +565,65 @@ def _bilinear_matrix(n: int) -> np.ndarray:
     return mat
 
 
-def _rows_apply(mat: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """(m, h) x (..., h, w, c) -> (..., m, w, c), one BLAS matmul per grid."""
-    *lead, h, w, c = grid.shape
-    return (mat @ grid.reshape(-1, h, w * c)).reshape(*lead, mat.shape[0], w, c)
+# Output rows per band tile. A tile of the (2n x n) matrix reads about 18 input
+# rows and one of its transpose about 66, so each tile's GEMM stays in cache.
+_BAND_ROWS = 32
+
+_band_cache: dict[tuple[int, bool], list[tuple[slice, slice, np.ndarray]]] = {}
 
 
-def _cols_apply(mat: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """(m, w) x (..., h, w, c) -> (..., h, m, c), one BLAS matmul per grid row;
-    the output is contiguous, so the channel linear that follows needs no copy."""
-    *lead, h, w, c = grid.shape
-    return (mat @ grid.reshape(-1, w, c)).reshape(*lead, h, mat.shape[0], c)
+def _bilinear_bands(n: int, adjoint: bool) -> list:
+    """``_bilinear_matrix(n)``, or its transpose for the adjoint, cut into
+    tiles of ``_BAND_ROWS`` output rows. Each tile is (output rows, input
+    rows, block): the block holds the tile's entries over the contiguous
+    band of input rows outside which the tile is zero."""
+    key = (n, adjoint)
+    bands = _band_cache.get(key)
+    if bands is None:
+        mat = _bilinear_matrix(n).T if adjoint else _bilinear_matrix(n)
+        bands = []
+        for r0 in range(0, mat.shape[0], _BAND_ROWS):
+            tile = mat[r0:r0 + _BAND_ROWS]
+            nonzero = np.flatnonzero(tile.any(axis=0))
+            band = slice(int(nonzero[0]), int(nonzero[-1]) + 1)
+            bands.append((slice(r0, r0 + tile.shape[0]), band,
+                          np.ascontiguousarray(tile[:, band])))
+        _band_cache[key] = bands
+    return bands
+
+
+def _band_apply(bands: list, x: np.ndarray) -> np.ndarray:
+    """``mat @ x`` along axis -2 of (..., n, k) ``x``, for the matrix cut into
+    ``bands``; one GEMM per tile and leading index, against the tile's band
+    only. The (..., m, k) output is contiguous."""
+    out = np.empty(x.shape[:-2] + (bands[-1][0].stop, x.shape[-1]))
+    for rows, band, block in bands:
+        np.matmul(block, x[..., band, :], out=out[..., rows, :])
+    return out
 
 
 def upsample2x_bilinear(x: Tensor) -> Tensor:
     """Bilinear 2x upsample of (..., h, w, c) grids.
 
-    Separable: rows then columns through fixed interpolation matrices, so
-    neighboring cells mix and downstream pointwise layers can resolve
-    sub-cell structure. The adjoint applies the transposed matrices.
+    Separable: neighboring cells mix, so downstream pointwise layers can
+    resolve sub-cell structure. Each interpolation matrix has two nonzeros
+    per row, so it is applied in banded tiles (:func:`_band_apply`) rather
+    than as a dense GEMM. Columns go first, on the (..., h, w, c) grid with
+    half the output's rows, then rows, on the (..., h, 2w·c) result. The
+    adjoint applies the transposed matrices' bands in the reverse order:
+    rows, then columns.
     """
     if x.data.ndim < 3:
         raise ShapeError(f"upsample2x_bilinear needs (..., h, w, c) grids, got shape {x.shape}")
-    h, w, _ = x.shape[-3:]
-    ry = _bilinear_matrix(h)
-    rx = _bilinear_matrix(w)
-    out_data = _cols_apply(rx, _rows_apply(ry, x.data))
+    *lead, h, w, c = x.shape
+    cols = _band_apply(_bilinear_bands(w, False), x.data)
+    out_data = _band_apply(_bilinear_bands(h, False), cols.reshape(*lead, h, 2 * w * c))
+    out_data = out_data.reshape(*lead, 2 * h, 2 * w, c)
 
     def bwd(g: np.ndarray) -> None:
         if x.requires_grad:
-            _accum(x, _rows_apply(ry.T, _cols_apply(rx.T, g)))
+            rows = _band_apply(_bilinear_bands(h, True), g.reshape(*lead, 2 * h, 2 * w * c))
+            _accum(x, _band_apply(_bilinear_bands(w, True), rows.reshape(*lead, h, 2 * w, c)))
 
     return _record("upsample2x_bilinear", (x,), out_data, bwd)
 

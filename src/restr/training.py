@@ -11,6 +11,8 @@ the class seed are exempt.
 from __future__ import annotations
 
 import csv
+import math
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -114,15 +116,18 @@ class AdamW:
         for _, t, _ in self.params:
             t.grad = None
 
-    def step(self, lr: float) -> None:
+    def step(self, lr: float) -> float:
+        """One update; returns the global L2 norm of the gradients it used."""
         cfg = self.cfg
         self.step_count += 1
         bc1 = 1.0 - cfg.beta1 ** self.step_count
         bc2 = 1.0 - cfg.beta2 ** self.step_count
+        sq_norm = 0.0
         for (name, t, decay), m, v in zip(self.params, self.m, self.v):
             g = t.grad
             if g is None:
                 g = np.zeros_like(t.data)
+            sq_norm += float(np.vdot(g, g))
             if decay and cfg.weight_decay:
                 t.data *= 1.0 - lr * cfg.weight_decay
             m *= cfg.beta1
@@ -130,6 +135,7 @@ class AdamW:
             v *= cfg.beta2
             v += (1.0 - cfg.beta2) * g * g
             t.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps)
+        return math.sqrt(sq_norm)
 
     def state(self) -> dict:
         return {"step": self.step_count, "m": self.m, "v": self.v}
@@ -146,11 +152,18 @@ class AdamW:
 
 @dataclass
 class TrainLogRow:
+    """One iteration. ``grad_norm`` is the gradients' global L2 norm before
+    the step; ``wall_ms`` times the iteration from batch assembly to the end
+    of the step, periodic evaluation excluded."""
+
     iteration: int
     lr: float
     loss_total: float
     loss_patch: float
     loss_pixel: float
+    grad_norm: float
+    wall_ms: float
+    samples_per_s: float
     eval_iou: float | None = None
 
 
@@ -161,14 +174,26 @@ class TrainResult:
     stopped_at: int | None = None
 
     def write_csv(self, path) -> None:
+        """The training log. Its columns depend only on the data, the seed and
+        the recipe, so identical runs write identical bytes."""
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["iter", "lr", "loss_total", "loss_patch",
-                             "loss_pixel", "eval_iou"])
+                             "loss_pixel", "grad_norm", "eval_iou"])
             for r in self.rows:
                 writer.writerow([r.iteration, f"{r.lr:.10g}", f"{r.loss_total:.10g}",
                                  f"{r.loss_patch:.10g}", f"{r.loss_pixel:.10g}",
+                                 f"{r.grad_norm:.10g}",
                                  "" if r.eval_iou is None else f"{r.eval_iou:.10g}"])
+
+    def write_timing_csv(self, path) -> None:
+        """Wall time and throughput per logged iteration, kept apart from
+        :meth:`write_csv` because they differ between identical runs."""
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["iter", "wall_ms", "samples_per_s"])
+            for r in self.rows:
+                writer.writerow([r.iteration, f"{r.wall_ms:.4f}", f"{r.samples_per_s:.4f}"])
 
 
 def batch_indices(iteration: int, n_samples: int, batch_size: int,
@@ -228,6 +253,7 @@ def train(params: RestrParams, model_cfg: ModelConfig, cfg: TrainConfig,
         min(cfg.total_iters, stop_after)
     while iteration < last_iteration:
         iteration += 1
+        started = time.perf_counter()
         batch = [dataset[i] for i in batch_indices(iteration, len(dataset),
                                                    cfg.batch_size, cfg.seed)]
         opt.zero_grad()
@@ -251,12 +277,16 @@ def train(params: RestrParams, model_cfg: ModelConfig, cfg: TrainConfig,
                                      + ", ".join(bad))
         T.backward(batch_loss)
         lr = lr_at(iteration, cfg)
-        opt.step(lr)
+        grad_norm = opt.step(lr)
+        wall_s = time.perf_counter() - started
 
         row = TrainLogRow(iteration=iteration, lr=lr,
                           loss_total=batch_loss.item(),
                           loss_patch=loss_patch,
-                          loss_pixel=loss_pixel)
+                          loss_pixel=loss_pixel,
+                          grad_norm=grad_norm,
+                          wall_ms=1e3 * wall_s,
+                          samples_per_s=len(batch) / wall_s)
         if cfg.eval_every and iteration % cfg.eval_every == 0:
             row.eval_iou = eval_iou()
             result.final_iou = row.eval_iou

@@ -13,7 +13,7 @@ from restr.encoders import ModelConfig
 from restr.fusion import FusionVariant
 from restr.runconfig import (UsageError, build_configs, load_config_file,
                              model_config_from_text, parse_config_text,
-                             serialize_model_config, serialize_train_config)
+                             serialize_model_config)
 from restr.training import AdamW, TrainConfig, train
 from restr.data import generate
 
@@ -56,16 +56,19 @@ class TestRunConfig:
         assert train_cfg.tau == 0.7
 
     def test_defaults_documented_round_trip(self):
-        model, train_cfg = build_configs({})
-        text = serialize_model_config(model) + serialize_train_config(train_cfg)
-        pairs = parse_config_text(text)
-        model2, train2 = build_configs(pairs)
+        model, _ = build_configs({})
+        model2, _ = build_configs(parse_config_text(serialize_model_config(model)))
         assert model2 == model
-        assert train2 == train_cfg
 
     def test_file_not_found(self):
         with pytest.raises(UsageError):
             load_config_file("/nonexistent/config.txt")
+
+    def test_file_not_utf8(self, tmp_path):
+        path = tmp_path / "config.txt"
+        path.write_bytes(b"heads = \xff\n")
+        with pytest.raises(UsageError, match="UTF-8"):
+            load_config_file(path)
 
     def test_bad_value_type(self):
         with pytest.raises(UsageError):

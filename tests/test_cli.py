@@ -64,6 +64,12 @@ class TestTrain:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4
         assert float(rows[0]["loss_total"]) > 0
+        assert float(rows[0]["grad_norm"]) > 0
+        with open(trained / "train_timing.csv") as fh:
+            timing = list(csv.DictReader(fh))
+        assert [r["iter"] for r in timing] == [r["iter"] for r in rows]
+        assert all(float(r["wall_ms"]) > 0 and float(r["samples_per_s"]) > 0
+                   for r in timing)
 
     def test_missing_data_dir(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "absent"),
@@ -196,15 +202,15 @@ class TestGradcheckCmd:
     def test_injected_adjoint_bug_gives_nonzero_exit(self, monkeypatch, capsys):
         import restr.tensor as T
 
-        def broken_relu(x):
-            out_data = (x.data > 0) * x.data
+        def broken_sigmoid(x):
+            y = 1.0 / (1.0 + np.exp(-x.data))
 
             def bwd(g):
-                T._accum(x, g * (x.data > 0) * 1.05)  # 5% adjoint corruption
+                T._accum(x, g * y * (1.0 - y) * 1.05)  # 5% adjoint corruption
 
-            return T._record("relu", (x,), out_data, bwd)
+            return T._record("sigmoid", (x,), y, bwd)
 
-        monkeypatch.setattr(T, "relu", broken_relu)
+        monkeypatch.setattr(T, "sigmoid", broken_sigmoid)
         assert main(["gradcheck", "--scope", "ops"]) == 1
         assert "FAIL" in capsys.readouterr().out
 

@@ -1,5 +1,7 @@
 """Synthetic data: rasterization oracle, expression semantics, disk format."""
 
+import os
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -203,12 +205,55 @@ class TestDiskFormat:
         with pytest.raises(DataFormatError, match="malformed"):
             load(tmp_path / "d")
 
+    @pytest.mark.parametrize("old, new", [(b"RSTRDS 1", b"RSTRDS \xff"),
+                                          ("RSTRDS 1".encode(), "RSTRDS ²".encode()),
+                                          (b"\n0 32 32", b"\n0 -32 -32")])
+    def test_corrupt_index_fields(self, tmp_path, old, new):
+        # each raised UnicodeDecodeError or ValueError before the fields were checked
+        save(generate(seed=16, count=2, h=32, w=32), tmp_path / "d")
+        index = tmp_path / "d" / "index.txt"
+        assert index.read_bytes().count(old) == 1
+        index.write_bytes(index.read_bytes().replace(old, new))
+        with pytest.raises(DataFormatError):
+            load(tmp_path / "d")
+
     def test_missing_sample_file(self, tmp_path):
         ds = generate(seed=17, count=2, h=32, w=32)
         save(ds, tmp_path / "d")
         (tmp_path / "d" / "0001.msk").unlink()
         with pytest.raises(DataFormatError, match="missing"):
             load(tmp_path / "d")
+
+    def test_failed_save_leaves_old_dataset(self, tmp_path):
+        d = tmp_path / "d"
+        save(generate(seed=19, count=4, h=32, w=32), d)
+        before = {p.name: p.read_bytes() for p in d.iterdir()}
+        new = generate(seed=20, count=4, h=32, w=32)
+        new.samples[2].image = new.samples[2].image[:, :, 0]  # fails at sample 2
+        with pytest.raises(ValueError):
+            save(new, d)
+        assert {p.name: p.read_bytes() for p in d.iterdir()} == before
+        assert [s.token_ids for s in load(d)] == \
+            [s.token_ids for s in generate(seed=19, count=4, h=32, w=32)]
+
+    def test_interrupted_renames_leave_no_index(self, tmp_path, monkeypatch):
+        # old index with some new blobs could load as a wrong dataset
+        d = tmp_path / "d"
+        save(generate(seed=19, count=4, h=32, w=32), d)
+        real_replace, calls = os.replace, []
+
+        def failing_replace(src, dst):
+            calls.append(dst)
+            if len(calls) == 4:
+                raise OSError("interrupted")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="interrupted"):
+            save(generate(seed=20, count=4, h=32, w=32), d)
+        assert not list(d.glob("*.tmp"))
+        with pytest.raises(DataFormatError, match="no index"):
+            load(d)
 
     def test_vocabulary_file_written(self, tmp_path):
         ds = generate(seed=18, count=2, h=32, w=32)

@@ -277,6 +277,33 @@ class TestTrainLoop:
         assert res.rows[-1].eval_iou == res.final_iou == cumulative_iou(masks, gts)
 
 
+class TestTrainLog:
+    def test_norm_time_and_throughput(self, setup, tmp_path):
+        cfg, ds = setup
+        params = init_model(np.random.default_rng(6), cfg)
+        tc = TrainConfig(base_lr=1e-4, warmup_iters=1, total_iters=3,
+                         batch_size=2, seed=14)
+        res = train(params, cfg, tc, ds.samples)
+        for r in res.rows:
+            for value in (r.grad_norm, r.wall_ms, r.samples_per_s):
+                assert math.isfinite(value) and value > 0
+            assert r.samples_per_s == pytest.approx(2e3 / r.wall_ms)
+        # the last step leaves its gradients on the parameters
+        grads = [t.grad for _, t, _ in params.named_parameters() if t.grad is not None]
+        assert res.rows[-1].grad_norm == pytest.approx(
+            math.sqrt(sum(float((g * g).sum()) for g in grads)), rel=1e-12)
+
+        res.write_csv(tmp_path / "log.csv")
+        res.write_timing_csv(tmp_path / "timing.csv")
+        log = (tmp_path / "log.csv").read_text().splitlines()
+        timing = (tmp_path / "timing.csv").read_text().splitlines()
+        assert log[0] == "iter,lr,loss_total,loss_patch,loss_pixel,grad_norm,eval_iou"
+        assert timing[0] == "iter,wall_ms,samples_per_s"
+        assert [float(line.split(",")[5]) for line in log[1:]] == \
+            [float(f"{r.grad_norm:.10g}") for r in res.rows]
+        assert len(timing) == len(log) == 4
+
+
 class TestNonFiniteLoss:
     @pytest.mark.parametrize("name,term", [("decoder.final.w", "pixel term is nan"),
                                            ("vision.patch.w", "patch term is nan")])
