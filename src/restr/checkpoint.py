@@ -17,6 +17,7 @@ an interrupted save leaves the previous checkpoint intact.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from pathlib import Path
@@ -98,6 +99,14 @@ class _Reader:
             raise CheckpointError(f"{self.path}: {what} is not valid UTF-8 "
                                   f"(byte {exc.start})") from None
 
+    def floats(self, shape: tuple[int, ...], what: str) -> np.ndarray:
+        """A float32 blob of ``shape``, as float64; a NaN or inf in it raises."""
+        arr = np.frombuffer(self.take(4 * math.prod(shape)), dtype="<f4").astype(
+            np.float64).reshape(shape)
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{self.path}: {what} holds a non-finite value")
+        return arr
+
 
 def load_checkpoint(path) -> tuple[ModelConfig, RestrParams, dict | None]:
     """Rebuild (config, parameters, optimizer state or None) from disk."""
@@ -124,7 +133,7 @@ def load_checkpoint(path) -> tuple[ModelConfig, RestrParams, dict | None]:
         raise CheckpointError(f"{p} holds {n_params} parameters, "
                               f"config implies {len(named)}")
     by_name = {name: t for name, t, _ in named}
-    shapes: list[tuple[int, ...]] = []
+    stored: list[tuple[str, tuple[int, ...]]] = []
     for _ in range(n_params):
         name = r.text("a parameter name")
         ndim = r.u32()
@@ -135,18 +144,15 @@ def load_checkpoint(path) -> tuple[ModelConfig, RestrParams, dict | None]:
         if tuple(shape) != t.data.shape:
             raise CheckpointError(f"{p}: parameter {name!r} has shape {shape}, "
                                   f"config implies {t.data.shape}")
-        t.data = np.frombuffer(r.take(4 * t.data.size), dtype="<f4").astype(
-            np.float64).reshape(shape)
-        shapes.append(tuple(shape))
+        t.data = r.floats(shape, f"parameter {name!r}")
+        stored.append((name, shape))
 
     has_opt = struct.unpack("<B", r.take(1))[0]
     opt_state = None
     if has_opt:
         step = struct.unpack("<Q", r.take(8))[0]
-        m = [np.frombuffer(r.take(4 * int(np.prod(s, dtype=np.int64))),
-                           dtype="<f4").astype(np.float64).reshape(s) for s in shapes]
-        v = [np.frombuffer(r.take(4 * int(np.prod(s, dtype=np.int64))),
-                           dtype="<f4").astype(np.float64).reshape(s) for s in shapes]
+        m = [r.floats(s, f"AdamW m of {name!r}") for name, s in stored]
+        v = [r.floats(s, f"AdamW v of {name!r}") for name, s in stored]
         opt_state = {"step": int(step), "m": m, "v": v}
     if r.pos != len(r.blob):
         raise CheckpointError(f"{p}: {len(r.blob) - r.pos} trailing bytes")

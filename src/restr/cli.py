@@ -112,10 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_dataset(path) -> dsmod.Dataset:
-    return dsmod.load(path)
-
-
 def _configs_for_dataset(overrides: dict[str, str],
                          dataset: dsmod.Dataset) -> tuple[ModelConfig, TrainConfig]:
     overrides = dict(overrides)
@@ -145,7 +141,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    dataset = _load_dataset(args.data)
+    dataset = dsmod.load(args.data)
     overrides = _collect_overrides(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -183,7 +179,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model_cfg, params, _ = load_checkpoint(args.ckpt)
-    dataset = _load_dataset(args.data)
+    dataset = dsmod.load(args.data)
     report = evaluate_model(params, model_cfg, dataset.samples, buckets=args.buckets)
     print(report.text_table())
     if args.out:
@@ -239,7 +235,7 @@ def _ablate_rows(args, dataset: dsmod.Dataset) -> list[str]:
 
 
 def cmd_ablate(args) -> int:
-    dataset = _load_dataset(args.data)
+    dataset = dsmod.load(args.data)
     rows = _ablate_rows(args, dataset)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -272,7 +268,7 @@ def cmd_profile(args) -> int:
 
 def cmd_render(args) -> int:
     model_cfg, params, _ = load_checkpoint(args.ckpt)
-    dataset = _load_dataset(args.data)
+    dataset = dsmod.load(args.data)
     try:
         ids = [int(part) for part in args.ids.split(",") if part.strip()]
     except ValueError as exc:

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .encoders import PAD_ID, UNK_ID, load_vocab, save_vocab
+from .encoders import PAD_ID, load_vocab, save_vocab, tokenize
 
 SHAPES = ("square", "circle", "triangle")
 COLORS = {"red": (1.0, 0.0, 0.0), "green": (0.0, 1.0, 0.0),
@@ -288,7 +288,6 @@ def generate(seed: int, count: int, h: int, w: int,
         raise GenerationError(
             f"canvas {h}x{w} too small to place objects (minimum {MIN_CANVAS})")
     vocab = list(vocab) if vocab is not None else list(VOCABULARY)
-    index = {tok: i for i, tok in enumerate(vocab)}
     rng = np.random.default_rng(seed)
     samples: list[Sample] = []
     relation_count = 0
@@ -324,7 +323,7 @@ def generate(seed: int, count: int, h: int, w: int,
             mask = rasterize_object(scene.objects[ti], h, w).astype(float)[:, :, None]
             samples.append(Sample(
                 image=image,
-                token_ids=[index.get(wd, UNK_ID) for wd in expr.split()],
+                token_ids=tokenize(expr, vocab),
                 mask=mask,
                 expression=expr,
                 target_index=ti,

@@ -194,7 +194,7 @@ def op_check_suite(seed: int, eps: float = 1e-5, tol: float = 1e-4) -> GradCheck
     run("sum_all", lambda x: T.sum_all(x),
         [Tensor(rng.standard_normal((3, 4)))], raw_scalar=True)
 
-    # Packed as self_attention packs it: a (B, n, 3h, d_h) array seen as (B, 3h, n, d_h).
+    # Token-major (B, n, 3·h·d_h) q/k/v, as self_attention's qkv matmul gives it.
     heads, n_tok, dh = 2, int(rng.integers(3, 7)), int(rng.integers(2, 4))
 
     def attention_in_blocks(x: Tensor) -> Tensor:
@@ -202,14 +202,14 @@ def op_check_suite(seed: int, eps: float = 1e-5, tol: float = 1e-4) -> GradCheck
         budget = T._ATTENTION_BLOCK_SCORES
         T._ATTENTION_BLOCK_SCORES = 2 * 2 * heads * n_tok
         try:
-            return T.attention(T.transpose(x, (0, 2, 1, 3)), heads)
+            return T.attention(x, heads)
         finally:
             T._ATTENTION_BLOCK_SCORES = budget
 
-    run("attention", lambda x: T.attention(T.transpose(x, (0, 2, 1, 3)), heads),
-        [Tensor(rng.standard_normal((2, n_tok, 3 * heads, dh)))])
+    run("attention", lambda x: T.attention(x, heads),
+        [Tensor(rng.standard_normal((2, n_tok, 3 * heads * dh)))])
     run("attention(multi-block)", attention_in_blocks,
-        [Tensor(rng.standard_normal((2, n_tok, 3 * heads, dh)))])
+        [Tensor(rng.standard_normal((2, n_tok, 3 * heads * dh)))])
 
     return report
 

@@ -35,10 +35,15 @@ def intersection_union(pred: np.ndarray, gt: np.ndarray) -> tuple[int, int]:
     return int((p & g).sum()), int((p | g).sum())
 
 
-def sample_iou(pred: np.ndarray, gt: np.ndarray) -> float:
-    """Per-sample IoU; the empty-vs-empty case counts as a perfect 1.0."""
-    inter, union = intersection_union(pred, gt)
+def _iou(inter: int, union: int) -> float:
+    """Intersection over union; an empty union (empty vs empty) counts as a
+    perfect 1.0."""
     return inter / union if union else 1.0
+
+
+def sample_iou(pred: np.ndarray, gt: np.ndarray) -> float:
+    """Per-sample IoU of two binary masks."""
+    return _iou(*intersection_union(pred, gt))
 
 
 def cumulative_iou(preds: Sequence[np.ndarray], gts: Sequence[np.ndarray]) -> float:
@@ -46,9 +51,7 @@ def cumulative_iou(preds: Sequence[np.ndarray], gts: Sequence[np.ndarray]) -> fl
         raise ValueError(f"need equal-length nonempty sequences, "
                          f"got {len(preds)} and {len(gts)}")
     totals = [intersection_union(p, g) for p, g in zip(preds, gts)]
-    inter = sum(i for i, _ in totals)
-    union = sum(u for _, u in totals)
-    return inter / union if union else 1.0
+    return _iou(sum(i for i, _ in totals), sum(u for _, u in totals))
 
 
 def prec_at(ious: Sequence[float], threshold: float) -> float:
@@ -87,8 +90,7 @@ def bucket_by_length(lengths: Sequence[int],
         sums[b][0] += inter
         sums[b][1] += union
         counts[b] += 1
-    return {b: (s[0] / s[1] if s[1] else 1.0)
-            for b, s in sums.items() if counts[b] > 0}
+    return {b: _iou(*s) for b, s in sums.items() if counts[b] > 0}
 
 
 @dataclass
@@ -159,12 +161,10 @@ def evaluate_model(params, cfg, dataset: Sequence,
     gts = [np.asarray(s.mask).reshape(p.shape).astype(np.uint8)
            for p, s in zip(preds, dataset)]
     ius = [intersection_union(p, g) for p, g in zip(preds, gts)]
-    ious = [i / u if u else 1.0 for i, u in ius]
+    ious = [_iou(i, u) for i, u in ius]
     lengths = [len(s.token_ids) for s in dataset]
-    total_i = sum(i for i, _ in ius)
-    total_u = sum(u for _, u in ius)
     return EvalReport(
-        cumulative_iou=total_i / total_u if total_u else 1.0,
+        cumulative_iou=_iou(sum(i for i, _ in ius), sum(u for _, u in ius)),
         ious=ious,
         prec={t: prec_at(ious, t) for t in thresholds},
         length_buckets=bucket_by_length(lengths, ius, buckets),

@@ -57,10 +57,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.op is None
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
@@ -73,20 +69,8 @@ class Tensor:
         tag = f", op={self.op!r}" if self.op else ""
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
 
-    # Small amount of operator sugar so call sites read like the math.
     def __add__(self, other: "Tensor") -> "Tensor":
         return add(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return hadamard(self, other)
-        return scale(self, float(other))
-
-    def __rmul__(self, other):
-        return scale(self, float(other))
 
 
 class _Node:
@@ -291,8 +275,12 @@ _ATTENTION_BLOCK_SCORES = 1 << 20
 
 
 def attention(qkv: Tensor, heads: int, sink: list | None = None) -> Tensor:
-    """Scaled dot-product attention, ``softmax(q kᵀ / sqrt(d_h)) v``, of the
-    packed (..., 3h, n, d_h) queries, keys and values; (..., h, n, d_h) out.
+    """Scaled dot-product attention, ``softmax(q kᵀ / sqrt(d_h)) v``, of every
+    head at once. The input is token-major (..., n, 3·h·d_h), as ``matmul(z,
+    w_qkv) + b_qkv`` returns it, each row [q of heads 0..h-1 | k of heads |
+    v of heads]; the output is (..., n, h·d_h), the heads side by side. q, k,
+    v, the output and the q/k/v gradient are strided (..., h, n, d_h) views
+    of these arrays, so no layout op or copy surrounds the op.
 
     Query rows go in blocks of about ``_ATTENTION_BLOCK_SCORES`` scores: each
     block's scores are written, turned into probabilities in place and
@@ -301,42 +289,50 @@ def attention(qkv: Tensor, heads: int, sink: list | None = None) -> Tensor:
     them) or when ``sink`` is given, which receives them; otherwise every
     block reuses one block-sized buffer.
     """
-    if qkv.data.ndim < 3 or heads < 1 or qkv.shape[-3] != 3 * heads:
-        raise ShapeError(f"attention needs (..., 3*{heads}, n, d_h) packed q/k/v, "
+    if qkv.data.ndim < 2 or heads < 1 or qkv.shape[-1] % (3 * heads):
+        raise ShapeError(f"attention needs (..., n, 3*{heads}*d_h) token-major q/k/v, "
                          f"got shape {qkv.shape}")
     h = heads
-    *batch, _, n, dh = qkv.shape
+    *batch, n, width = qkv.shape
+    dh = width // (3 * h)
     lead = (*batch, h)
     matrices = math.prod(lead)
     if _state.mac_counter is not None:
         _state.mac_counter.macs += 2 * matrices * n * n * dh
+
+    def by_head(x: np.ndarray) -> np.ndarray:  # (..., n, m·h·d_h) -> (..., m·h, n, d_h)
+        return x.reshape(*batch, n, -1, dh).swapaxes(-3, -2)
+
     c = 1.0 / math.sqrt(dh)
-    q = qkv.data[..., :h, :, :] * c
-    k = qkv.data[..., h:2 * h, :, :]
-    v = qkv.data[..., 2 * h:, :, :]
+    packed = by_head(qkv.data)
+    q = packed[..., :h, :, :] * c
+    k = packed[..., h:2 * h, :, :]
+    v = packed[..., 2 * h:, :, :]
     kt = k.swapaxes(-1, -2)
     rows = min(n, max(1, _ATTENTION_BLOCK_SCORES // (matrices * n)))
     keep = sink is not None or (_state.grad_enabled and qkv.requires_grad)
     probs = np.empty(lead + (n, n)) if keep else None
     scratch = None if keep else np.empty(lead + (rows, n))
-    out_data = np.empty(lead + (n, dh))
+    out_data = np.empty((*batch, n, h * dh))
+    out = by_head(out_data)
     for r0 in range(0, n, rows):
         r1 = min(n, r0 + rows)
         s = probs[..., r0:r1, :] if keep else scratch[..., :r1 - r0, :]
         np.matmul(q[..., r0:r1, :], kt, out=s)
         _softmax_into(s, s)
-        np.matmul(s, v, out=out_data[..., r0:r1, :])
+        np.matmul(s, v, out=out[..., r0:r1, :])
     if sink is not None:
         sink.append(probs)
 
     def bwd(g: np.ndarray) -> None:
         if qkv.requires_grad:
-            gqkv = np.empty_like(qkv.data)
-            np.matmul(probs.swapaxes(-1, -2), g, out=gqkv[..., 2 * h:, :, :])
-            ds = _softmax_grad_(np.matmul(g, v.swapaxes(-1, -2)), probs)
-            np.matmul(ds, k, out=gqkv[..., :h, :, :])
-            gqkv[..., :h, :, :] *= c
-            np.matmul(ds.swapaxes(-1, -2), q, out=gqkv[..., h:2 * h, :, :])
+            gqkv = np.empty(qkv.shape)
+            gpacked, gout = by_head(gqkv), by_head(g)
+            np.matmul(probs.swapaxes(-1, -2), gout, out=gpacked[..., 2 * h:, :, :])
+            ds = _softmax_grad_(np.matmul(gout, v.swapaxes(-1, -2)), probs)
+            np.matmul(ds, k, out=gpacked[..., :h, :, :])
+            gpacked[..., :h, :, :] *= c
+            np.matmul(ds.swapaxes(-1, -2), q, out=gpacked[..., h:2 * h, :, :])
             _accum(qkv, gqkv)
 
     return _record("attention", (qkv,), out_data, bwd)

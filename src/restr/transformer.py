@@ -3,18 +3,12 @@
 A stack is a sequence of residual blocks ``z + MSA(LN(z))`` followed by
 ``z + MLP(LN(z))``, closed with a terminal layer normalization. As in ViT,
 one fused linear map ``w_qkv`` (d, 3d) gives the queries, keys and values of
-every head; attention runs over (..., heads, tokens, head_dim), and the
-concatenated head outputs pass through a single output projection. Tokens
-are (..., n, d): any leading axes are a batch.
+every head, and the concatenated head outputs pass through a single output
+projection. Tokens are (..., n, d): any leading axes are a batch.
 
-Attention itself is one tape op, :func:`restr.tensor.attention`. It takes
-query rows in blocks of a fixed score budget (8 MiB of float64) and writes
-each block's scores, softmax and product with v while the block is in
-cache, so a no-grad forward holds one block of scores at a time. The full
-(..., heads, n, n) probabilities are kept only when the op is recorded for
-backward or an ``attn_sink`` asks for them. Shapes whose scores fit the
-budget (every A5 shape) run as one block, with the arithmetic of separate
-matmul and softmax ops.
+Attention itself is one tape op, :func:`restr.tensor.attention`, applied to
+the q/k/v projection as the matmul returns it; its docstring states the
+layout and how it blocks the query rows.
 """
 
 from __future__ import annotations
@@ -159,17 +153,10 @@ def self_attention(z: Tensor, block: BlockParams,
     in, the heads' outputs concatenated to (..., n, d) out.
 
     One fused op, :func:`restr.tensor.attention`, computes every head from the
-    packed (..., 3H, n, head_dim) queries, keys and values. Appends the
-    row-stochastic (..., H, n, n) attention to ``attn_sink`` when requested.
+    token-major q/k/v projection. Appends the row-stochastic (..., H, n, n)
+    attention to ``attn_sink`` when requested.
     """
-    *lead, n, d = z.shape
-    h = block.heads
-    b = len(lead)
-    swap = (*range(b), b + 1, b, b + 2)  # (..., x, y, dh) <-> (..., y, x, dh)
-    qkv = T.matmul(z, block.w_qkv) + block.b_qkv
-    qkv = T.transpose(T.reshape(qkv, (*lead, n, 3 * h, d // h)), swap)  # (..., 3h, n, dh)
-    heads = T.attention(qkv, h, attn_sink)
-    return T.reshape(T.transpose(heads, swap), (*lead, n, d))
+    return T.attention(T.matmul(z, block.w_qkv) + block.b_qkv, block.heads, attn_sink)
 
 
 def msa(z: Tensor, block: BlockParams, attn_sink: list | None = None) -> Tensor:
@@ -206,11 +193,6 @@ def block_param_count(cfg: TransformerConfig) -> int:
     return qkv + out_proj + norms + mlp
 
 
-def stack_param_count(cfg: TransformerConfig, share_weights: bool = False) -> int:
-    unique_blocks = 1 if share_weights else cfg.layers
-    return unique_blocks * block_param_count(cfg) + 2 * cfg.dim
-
-
 def block_mac_count(n_tokens: int, cfg: TransformerConfig) -> int:
     """Matrix-product MACs of one block forward on ``n_tokens`` tokens."""
     d, hm = cfg.dim, cfg.mlp_hidden
@@ -219,8 +201,3 @@ def block_mac_count(n_tokens: int, cfg: TransformerConfig) -> int:
     out_proj = n_tokens * d * d
     mlp = 2 * n_tokens * d * hm
     return qkv + attn + out_proj + mlp
-
-
-def count_parameters(named) -> int:
-    """Total element count over (name, tensor, decay) triples."""
-    return int(sum(t.size for _, t, _ in named))

@@ -1,6 +1,7 @@
 """Checkpoint persistence and flat run-config parsing."""
 
 import pathlib
+import re
 import struct
 
 import numpy as np
@@ -189,6 +190,22 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="not valid UTF-8"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("blob,value", [("parameter", np.nan), ("parameter", -np.inf),
+                                            ("m", np.inf), ("v", np.nan)])
+    def test_non_finite_blob_rejected(self, tmp_path, blob, value):
+        cfg = tiny_cfg()
+        params = init_model(np.random.default_rng(4), cfg)
+        named = params.named_parameters()
+        state = {"step": 1, "m": [np.zeros(t.shape) for _, t, _ in named],
+                 "v": [np.ones(t.shape) for _, t, _ in named]}
+        name, t, _ = named[7]
+        (t.data if blob == "parameter" else state[blob][7]).flat[-1] = value
+        save_checkpoint(tmp_path / "m.rstr", cfg, params, state)
+        what = "parameter" if blob == "parameter" else f"AdamW {blob} of"
+        with pytest.raises(CheckpointError,
+                           match=re.escape(f"{what} {name!r} holds a non-finite value")):
+            load_checkpoint(tmp_path / "m.rstr")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="not found"):

@@ -6,9 +6,12 @@ import shutil
 import numpy as np
 import pytest
 
+import restr.tensor as T
+from restr import training
 from restr.checkpoint import load_checkpoint, save_checkpoint
 from restr.cli import main
 from restr.data import load
+from restr.training import segmentation_loss
 
 
 TRAIN_FLAGS = ["--patch_size", "4", "--dim_vision", "16", "--dim_language", "16",
@@ -34,6 +37,15 @@ def trained(tmp_path_factory, dataset_dir):
                  "--quiet", "--total_iters", "4", *TRAIN_FLAGS])
     assert code == 0
     return out
+
+
+def nan_weight_checkpoint(trained, tmp_path):
+    """The trained checkpoint with one NaN in the decoder's final weight."""
+    cfg, params, opt_state = load_checkpoint(trained / "checkpoint.rstr")
+    params.decoder.w_final.data[0, 0] = np.nan
+    bad = tmp_path / "nan.rstr"
+    save_checkpoint(bad, cfg, params, opt_state)
+    return bad
 
 
 class TestGen:
@@ -115,14 +127,21 @@ class TestTrain:
         assert abs(next_full - next_resumed) / abs(next_full) < 1e-4
 
     def test_nan_weight_stops_training(self, tmp_path, trained, dataset_dir, capsys):
-        cfg, params, opt_state = load_checkpoint(trained / "checkpoint.rstr")
-        params.decoder.w_final.data[0, 0] = np.nan
-        bad = tmp_path / "nan.rstr"
-        save_checkpoint(bad, cfg, params, opt_state)
+        bad = nan_weight_checkpoint(trained, tmp_path)
         assert main(["train", "--data", str(dataset_dir), "--out", str(tmp_path / "o"),
                      "--resume", str(bad), "--quiet", "--total_iters", "6",
                      *TRAIN_FLAGS]) == 2
-        assert "iteration 5: pixel term is nan" in capsys.readouterr().err
+        assert "'decoder.final.w' holds a non-finite value" in capsys.readouterr().err
+
+    def test_nan_loss_stops_training(self, tmp_path, dataset_dir, capsys, monkeypatch):
+        def nan_pixel_term(*args):
+            total, patch_term, pixel_term = segmentation_loss(*args)
+            return total, patch_term, T.scale(pixel_term, np.nan)
+
+        monkeypatch.setattr(training, "segmentation_loss", nan_pixel_term)
+        assert main(["train", "--data", str(dataset_dir), "--out", str(tmp_path / "o"),
+                     "--quiet", "--total_iters", "4", *TRAIN_FLAGS]) == 2
+        assert "iteration 1: pixel term is nan" in capsys.readouterr().err
 
 
 class TestEval:
@@ -166,6 +185,11 @@ class TestEval:
         (bad / "0000.img").write_bytes(bytes(blob))
         assert main(["eval", "--ckpt", str(trained / "checkpoint.rstr"),
                      "--data", str(bad)]) == 2
+
+    def test_nan_weight_checkpoint(self, tmp_path, trained, dataset_dir, capsys):
+        bad = nan_weight_checkpoint(trained, tmp_path)
+        assert main(["eval", "--ckpt", str(bad), "--data", str(dataset_dir)]) == 2
+        assert "'decoder.final.w' holds a non-finite value" in capsys.readouterr().err
 
     def test_duplicate_sample_id(self, tmp_path, trained, dataset_dir):
         bad = tmp_path / "dup"

@@ -109,29 +109,33 @@ class TestSoftmax:
 
 
 def packed_qkv(rng, batch, n, heads, dh, grad=True):
-    """A (batch, n, 3h, dh) leaf and its (batch, 3h, n, dh) view, as
-    ``self_attention`` packs them."""
-    leaf = tensor(rng.standard_normal((batch, n, 3 * heads, dh)), grad)
-    return leaf, T.transpose(leaf, (0, 2, 1, 3))
+    """A token-major (batch, n, 3·heads·dh) q/k/v leaf, as the qkv matmul
+    gives it."""
+    return tensor(rng.standard_normal((batch, n, 3 * heads * dh)), grad)
 
 
 def attention_chain(qkv, heads):
-    """Attention as separate tape ops: slices, scale, q·kᵀ, softmax, ·v."""
-    dh = qkv.shape[-1]
-    q = T.scale(T.slice_axis(qkv, -3, 0, heads), 1.0 / math.sqrt(dh))
-    k = T.slice_axis(qkv, -3, heads, 2 * heads)
-    v = T.slice_axis(qkv, -3, 2 * heads, 3 * heads)
-    return T.matmul(T.softmax(T.matmul(q, T.transpose(k)), axis=-1), v)
+    """Attention as separate tape ops: split the heads, then slices, scale,
+    q·kᵀ, softmax, ·v, and the heads side by side again."""
+    batch, n, width = qkv.shape
+    dh = width // (3 * heads)
+    swap = (0, 2, 1, 3)
+    packed = T.transpose(T.reshape(qkv, (batch, n, 3 * heads, dh)), swap)
+    q = T.scale(T.slice_axis(packed, -3, 0, heads), 1.0 / math.sqrt(dh))
+    k = T.slice_axis(packed, -3, heads, 2 * heads)
+    v = T.slice_axis(packed, -3, 2 * heads, 3 * heads)
+    out = T.matmul(T.softmax(T.matmul(q, T.transpose(k)), axis=-1), v)
+    return T.reshape(T.transpose(out, swap), (batch, n, heads * dh))
 
 
 def attention_and_grad(f, seed, batch, n, heads, dh):
     """Output, qkv gradient and sink of ``f`` under a fixed output adjoint."""
     rng = np.random.default_rng(seed)
-    leaf, qkv = packed_qkv(rng, batch, n, heads, dh)
+    qkv = packed_qkv(rng, batch, n, heads, dh)
     sink = []
     out = f(qkv, heads, sink)
     T.backward(T.sum_all(T.hadamard(out, Tensor(rng.standard_normal(out.shape)))))
-    return out.data, leaf.grad, sink
+    return out.data, qkv.grad, sink
 
 
 def assert_close(actual, desired):
@@ -158,7 +162,7 @@ class TestAttention:
             mp.setattr(T, "_ATTENTION_BLOCK_SCORES", rows * batch * heads * n)
             blocked = attention_and_grad(T.attention, seed, batch, n, heads, dh)
             with T.no_grad():
-                _, qkv = packed_qkv(np.random.default_rng(seed), batch, n, heads, dh)
+                qkv = packed_qkv(np.random.default_rng(seed), batch, n, heads, dh)
                 scratch_out = T.attention(qkv, heads).data
                 sink = []
                 sink_out = T.attention(qkv, heads, sink).data
@@ -173,7 +177,7 @@ class TestAttention:
     def test_sink_gets_row_stochastic_probs(self, monkeypatch, rows, grad):
         batch, n, heads = 2, 10, 3
         monkeypatch.setattr(T, "_ATTENTION_BLOCK_SCORES", rows * batch * heads * n)
-        _, qkv = packed_qkv(np.random.default_rng(5), batch, n, heads, 4, grad)
+        qkv = packed_qkv(np.random.default_rng(5), batch, n, heads, 4, grad)
         sink = []
         T.attention(qkv, heads, sink)
         assert sink[0].shape == (batch, heads, n, n)
@@ -182,21 +186,22 @@ class TestAttention:
 
     def test_macs_closed_form(self):
         batch, n, heads, dh = 3, 11, 2, 5
-        _, qkv = packed_qkv(np.random.default_rng(6), batch, n, heads, dh, grad=False)
+        qkv = packed_qkv(np.random.default_rng(6), batch, n, heads, dh, grad=False)
         with T.count_macs() as counter:
             T.attention(qkv, heads)
         assert counter.macs == 2 * batch * heads * n * n * dh
 
     def test_one_tape_node(self):
         T.reset_graph()
-        _, qkv = packed_qkv(np.random.default_rng(7), 2, 5, 2, 3)
+        qkv = packed_qkv(np.random.default_rng(7), 2, 5, 2, 3)
         out = T.attention(qkv, 2)
-        assert out.op == "attention" and out.shape == (2, 2, 5, 3)
-        assert [node.tag for node in T._state.tape] == ["transpose", "attention"]
+        assert out.op == "attention" and out.shape == (2, 5, 6)
+        assert [node.tag for node in T._state.tape] == ["attention"]
         T.reset_graph()
 
-    @pytest.mark.parametrize("shape,heads", [((2, 5, 3), 2), ((7, 5, 3), 2),
-                                             ((6, 3), 2), ((6, 5, 3), 0)])
+    # a last axis not divisible by 3·heads (twice), a single axis, no heads
+    @pytest.mark.parametrize("shape,heads", [((2, 5, 9), 2), ((5, 4), 2),
+                                             ((12,), 2), ((2, 5, 6), 0)])
     def test_bad_packing_rejected(self, shape, heads):
         with pytest.raises(ShapeError):
             T.attention(Tensor(np.zeros(shape)), heads)

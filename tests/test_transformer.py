@@ -8,9 +8,8 @@ import restr.tensor as T
 from restr.gradcheck import grad_check, scalarized
 from restr.tensor import Tensor
 from restr.transformer import (ConfigError, TransformerConfig,
-                               block_param_count, count_parameters, encoder_stack,
-                               init_block, init_stack, msa, self_attention,
-                               stack_param_count, transformer_block)
+                               block_param_count, encoder_stack, init_block,
+                               init_stack, msa, self_attention, transformer_block)
 
 
 @pytest.fixture
@@ -20,6 +19,10 @@ def cfg():
 
 def rand_tokens(rng, n, d):
     return Tensor(rng.standard_normal((n, d)))
+
+
+def param_count(stack):
+    return sum(t.size for _, t, _ in stack.named_parameters())
 
 
 class TestConfig:
@@ -60,6 +63,15 @@ class TestSelfAttention:
         sink = []
         self_attention(rand_tokens(rng, 5, 8), block, attn_sink=sink)
         npt.assert_allclose(sink[0].sum(axis=-1), np.ones((2, 5)), atol=1e-9)
+
+    def test_three_tape_nodes(self, cfg):
+        rng = np.random.default_rng(20)
+        block = init_block(rng, cfg)
+        T.reset_graph()
+        out = self_attention(Tensor(rng.standard_normal((2, 5, 8)), requires_grad=True), block)
+        assert out.shape == (2, 5, 8)
+        assert [node.tag for node in T._state.tape] == ["matmul", "add", "attention"]
+        T.reset_graph()
 
     def test_shape_mismatch(self, cfg):
         rng = np.random.default_rng(3)
@@ -139,19 +151,16 @@ class TestStack:
     def test_param_count_matches_enumeration(self):
         cfg = TransformerConfig(layers=1, dim=8, heads=2)
         stack = init_stack(np.random.default_rng(14), cfg)
-        assert count_parameters(stack.named_parameters()) == stack_param_count(cfg)
         # hand count at D=8, k=2, M=1, mlp=32:
         # qkv 2*3*(8*4+4)=216, out 8*8=64, norms 4*8=32,
         # mlp 8*32+32+32*8+8=552, terminal ln 16 -> 880
-        assert stack_param_count(cfg) == 880
+        assert param_count(stack) == block_param_count(cfg) + 16 == 880
 
     def test_shared_stack_params_halve(self):
         cfg = TransformerConfig(layers=2, dim=8, heads=2)
         shared = init_stack(np.random.default_rng(15), cfg, share_weights=True)
         assert shared.blocks[0] is shared.blocks[1]
-        assert (count_parameters(shared.named_parameters())
-                == stack_param_count(cfg, share_weights=True)
-                == block_param_count(cfg) + 16)
+        assert param_count(shared) == block_param_count(cfg) + 16
 
     def test_permutation_equivariance(self, cfg):
         rng = np.random.default_rng(16)
