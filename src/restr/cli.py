@@ -29,7 +29,8 @@ from .fusion import FusionVariant, attention_probe, profile_all
 from .gradcheck import check_all_ops, check_model_gradients
 from .metrics import DEFAULT_BUCKETS, evaluate_model
 from .render import render_sample
-from .runconfig import ALL_KEYS, UsageError, build_configs, load_config_file
+from .runconfig import (ALL_KEYS, MODEL_KEYS, UsageError, build_configs, load_config_file,
+                        parse_config_text, serialize_model_config)
 from .training import AdamW, NonFiniteLossError, TrainConfig, train
 from .transformer import ConfigError
 
@@ -126,6 +127,24 @@ def _configs_for_dataset(overrides: dict[str, str],
     return build_configs(overrides)
 
 
+def _resume_train_config(ckpt_cfg: ModelConfig, overrides: dict[str, str],
+                         dataset: dsmod.Dataset) -> TrainConfig:
+    """The train config of a resumed run. The checkpoint fixes the model:
+    a model-key override, or the dataset's vocabulary or image size, that
+    differs from it is a usage error naming the key."""
+    have = parse_config_text(serialize_model_config(ckpt_cfg))
+    base = {key: value for key, value in have.items()
+            if key not in ("vocab_size", "image_h", "image_w")}
+    requested, train_cfg = _configs_for_dataset({**base, **overrides}, dataset)
+    want = parse_config_text(serialize_model_config(requested))
+    for key in MODEL_KEYS:
+        if want[key] != have[key]:
+            source = f"--{key}" if key in overrides else f"dataset {key}"
+            raise UsageError(f"{source} {want[key]} does not match the checkpoint's "
+                             f"{key} {have[key]}")
+    return train_cfg
+
+
 def cmd_gen(args) -> int:
     if args.count < 1:
         raise UsageError(f"--count must be >= 1, got {args.count}")
@@ -148,7 +167,7 @@ def cmd_train(args) -> int:
 
     if args.resume:
         model_cfg, params, opt_state = load_checkpoint(args.resume)
-        _, train_cfg = _configs_for_dataset(overrides, dataset)
+        train_cfg = _resume_train_config(model_cfg, overrides, dataset)
         optimizer = AdamW(params.named_parameters(), train_cfg)
         if opt_state is not None:
             optimizer.load_state(opt_state)

@@ -238,32 +238,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record("matmul", (a, b), out_data, bwd)
 
 
-def _softmax_into(x: np.ndarray, out: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Softmax of ``x`` along ``axis`` with max-subtraction for overflow
-    safety, written to ``out`` (which may be ``x`` itself)."""
-    np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
-    np.exp(out, out=out)
-    out /= out.sum(axis=axis, keepdims=True)
-    return out
-
-
-def _softmax_grad_(g: np.ndarray, y: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Overwrite ``g``, the gradient at the softmax output ``y``, with the
-    gradient at its input."""
-    g -= (g * y).sum(axis=axis, keepdims=True)
-    g *= y
-    return g
-
-
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Softmax along ``axis``; one array of the input's size is allocated."""
+    """Softmax along ``axis`` with max-subtraction for overflow safety; one
+    array of the input's size is allocated."""
     if not -x.data.ndim <= axis < x.data.ndim:
         raise ShapeError(f"softmax axis {axis} invalid for shape {x.shape}")
-    y = _softmax_into(x.data, np.empty_like(x.data), axis)
+    y = x.data - x.data.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
 
     def bwd(g: np.ndarray) -> None:
         if x.requires_grad:
-            _accum(x, _softmax_grad_(g.copy(), y, axis))
+            gx = g - (g * y).sum(axis=axis, keepdims=True)
+            gx *= y
+            _accum(x, gx)
 
     return _record("softmax", (x,), y, bwd)
 
@@ -283,11 +271,18 @@ def attention(qkv: Tensor, heads: int, sink: list | None = None) -> Tensor:
     of these arrays, so no layout op or copy surrounds the op.
 
     Query rows go in blocks of about ``_ATTENTION_BLOCK_SCORES`` scores: each
-    block's scores are written, turned into probabilities in place and
-    multiplied by v while they are still in cache. The full (..., h, n, n)
-    probabilities are kept only when the node is recorded (backward needs
-    them) or when ``sink`` is given, which receives them; otherwise every
-    block reuses one block-sized buffer.
+    block's scores are written, shifted by their row max and exponentiated in
+    place, giving E, and multiplied while still in cache by [v | 1], v with a
+    ones column appended. That one GEMM yields both E·v and the row sums of
+    E, so normalisation happens after the value product: the (..., n, d_h)
+    block output is scaled by 1/rowsum and no pass divides the n×n scores.
+    The max shift makes every row sum at least 1.
+
+    When the node is recorded, the full (..., h, n, n) E and the (..., h, n,
+    1) factors 1/rowsum are kept for backward; otherwise every block reuses
+    one block-sized buffer. ``sink``, when given, receives the row-stochastic
+    probabilities E·(1/rowsum) as one (..., h, n, n) array. The MAC count is
+    the model's 2·n²·d_h per matrix; the ones column is not counted.
     """
     if qkv.data.ndim < 2 or heads < 1 or qkv.shape[-1] % (3 * heads):
         raise ShapeError(f"attention needs (..., n, 3*{heads}*d_h) token-major q/k/v, "
@@ -309,27 +304,37 @@ def attention(qkv: Tensor, heads: int, sink: list | None = None) -> Tensor:
     k = packed[..., h:2 * h, :, :]
     v = packed[..., 2 * h:, :, :]
     kt = k.swapaxes(-1, -2)
+    v1 = np.concatenate((v, np.ones(lead + (n, 1))), axis=-1)
     rows = min(n, max(1, _ATTENTION_BLOCK_SCORES // (matrices * n)))
     keep = sink is not None or (_state.grad_enabled and qkv.requires_grad)
-    probs = np.empty(lead + (n, n)) if keep else None
+    exps = np.empty(lead + (n, n)) if keep else None
     scratch = None if keep else np.empty(lead + (rows, n))
+    inv = np.empty(lead + (n, 1))
+    acc = np.empty(lead + (rows, dh + 1))
     out_data = np.empty((*batch, n, h * dh))
     out = by_head(out_data)
     for r0 in range(0, n, rows):
         r1 = min(n, r0 + rows)
-        s = probs[..., r0:r1, :] if keep else scratch[..., :r1 - r0, :]
+        s = exps[..., r0:r1, :] if keep else scratch[..., :r1 - r0, :]
+        a = acc[..., :r1 - r0, :]
         np.matmul(q[..., r0:r1, :], kt, out=s)
-        _softmax_into(s, s)
-        np.matmul(s, v, out=out[..., r0:r1, :])
+        s -= s.max(axis=-1, keepdims=True)
+        np.exp(s, out=s)
+        np.matmul(s, v1, out=a)
+        np.divide(1.0, a[..., dh:], out=inv[..., r0:r1, :])
+        np.multiply(a[..., :dh], inv[..., r0:r1, :], out=out[..., r0:r1, :])
     if sink is not None:
-        sink.append(probs)
+        sink.append(exps * inv)
 
     def bwd(g: np.ndarray) -> None:
         if qkv.requires_grad:
             gqkv = np.empty(qkv.shape)
-            gpacked, gout = by_head(gqkv), by_head(g)
-            np.matmul(probs.swapaxes(-1, -2), gout, out=gpacked[..., 2 * h:, :, :])
-            ds = _softmax_grad_(np.matmul(gout, v.swapaxes(-1, -2)), probs)
+            gpacked = by_head(gqkv)
+            gi = by_head(g) * inv
+            np.matmul(exps.swapaxes(-1, -2), gi, out=gpacked[..., 2 * h:, :, :])
+            ds = np.matmul(gi, v.swapaxes(-1, -2))
+            ds -= (gi * out).sum(axis=-1, keepdims=True)
+            ds *= exps
             np.matmul(ds, k, out=gpacked[..., :h, :, :])
             gpacked[..., :h, :, :] *= c
             np.matmul(ds.swapaxes(-1, -2), q, out=gpacked[..., h:2 * h, :, :])
@@ -454,9 +459,8 @@ def gelu(x: Tensor) -> Tensor:
 
 def sigmoid(x: Tensor) -> Tensor:
     """Numerically stable logistic function."""
-    y = np.where(x.data >= 0,
-                 1.0 / (1.0 + np.exp(-np.abs(x.data))),
-                 np.exp(-np.abs(x.data)) / (1.0 + np.exp(-np.abs(x.data))))
+    e = np.exp(-np.abs(x.data))
+    y = np.where(x.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def bwd(g: np.ndarray) -> None:
         if x.requires_grad:

@@ -10,7 +10,7 @@ import restr.tensor as T
 from restr import training
 from restr.checkpoint import load_checkpoint, save_checkpoint
 from restr.cli import main
-from restr.data import load
+from restr.data import VOCABULARY, generate, load, save
 from restr.training import segmentation_loss
 
 
@@ -125,6 +125,41 @@ class TestTrain:
         assert set(resumed_losses) == {4, 5, 6}
         next_full, next_resumed = full_losses[4], resumed_losses[4]
         assert abs(next_full - next_resumed) / abs(next_full) < 1e-4
+
+    def resume(self, trained, dataset_dir, out, *flags):
+        return main(["train", "--data", str(dataset_dir), "--out", str(out), "--quiet",
+                     "--resume", str(trained / "checkpoint.rstr"), "--total_iters", "5",
+                     *TRAIN_FLAGS, *flags])
+
+    def test_resume_accepts_checkpoint_architecture(self, tmp_path, trained, dataset_dir):
+        assert self.resume(trained, dataset_dir, tmp_path / "o", "--heads", "2",
+                           "--vocab_size", str(len(VOCABULARY))) == 0
+
+    @pytest.mark.parametrize("flag,value,have", [("--heads", "4", "2"),
+                                                  ("--dim_fusion", "32", "16"),
+                                                  ("--fusion_variant", "vme", "cme")])
+    def test_resume_rejects_architecture_flag(self, tmp_path, trained, dataset_dir,
+                                              capsys, flag, value, have):
+        assert self.resume(trained, dataset_dir, tmp_path / "o", flag, value) == 1
+        key = flag[2:]
+        assert (f"{flag} {value} does not match the checkpoint's {key} {have}"
+                in capsys.readouterr().err)
+
+    def test_resume_rejects_smaller_vocabulary(self, tmp_path, trained, capsys):
+        small = tmp_path / "small"
+        save(generate(3, 8, 32, 32, vocab=VOCABULARY[:6]), small)
+        assert self.resume(trained, small, tmp_path / "o") == 1
+        assert (f"dataset vocab_size 6 does not match the checkpoint's vocab_size "
+                f"{len(VOCABULARY)}" in capsys.readouterr().err)
+
+    def test_resume_rejects_other_image_size(self, tmp_path, trained, capsys):
+        large = tmp_path / "large"
+        assert main(["gen", "--seed", "3", "--count", "8", "--size", "64",
+                     "--out", str(large)]) == 0
+        capsys.readouterr()
+        assert self.resume(trained, large, tmp_path / "o") == 1
+        assert ("dataset image_h 64 does not match the checkpoint's image_h 32"
+                in capsys.readouterr().err)
 
     def test_nan_weight_stops_training(self, tmp_path, trained, dataset_dir, capsys):
         bad = nan_weight_checkpoint(trained, tmp_path)

@@ -128,10 +128,12 @@ def attention_chain(qkv, heads):
     return T.reshape(T.transpose(out, swap), (batch, n, heads * dh))
 
 
-def attention_and_grad(f, seed, batch, n, heads, dh):
-    """Output, qkv gradient and sink of ``f`` under a fixed output adjoint."""
+def attention_and_grad(f, seed, batch, n, heads, dh, scale=1.0):
+    """Output, qkv gradient and sink of ``f`` under a fixed output adjoint;
+    ``scale`` multiplies the random q/k/v."""
     rng = np.random.default_rng(seed)
     qkv = packed_qkv(rng, batch, n, heads, dh)
+    qkv.data *= scale
     sink = []
     out = f(qkv, heads, sink)
     T.backward(T.sum_all(T.hadamard(out, Tensor(rng.standard_normal(out.shape)))))
@@ -171,6 +173,34 @@ class TestAttention:
         assert_close(scratch_out, whole[0])
         assert_close(sink_out, whole[0])
         assert_close(sink[0], whole[2][0])
+
+    def test_a8_geometry_equals_op_chain(self):
+        """The eval_r480 shape: 921 tokens, 2 heads of d_h = 8, in the two
+        query blocks of the default budget; recorded and under no_grad."""
+        n, heads, dh = 921, 2, 8
+        assert math.ceil(n / (T._ATTENTION_BLOCK_SCORES // (heads * n))) == 2
+        out, grad, _ = attention_and_grad(lambda qkv, h, sink: attention_chain(qkv, h),
+                                          1, 1, n, heads, dh)
+        fused, fused_grad, _ = attention_and_grad(T.attention, 1, 1, n, heads, dh)
+        assert_close(fused, out)
+        assert_close(fused_grad, grad)
+        with T.no_grad():
+            qkv = packed_qkv(np.random.default_rng(1), 1, n, heads, dh)
+            assert_close(T.attention(qkv, heads).data, out)
+
+    def test_extreme_logits_equal_op_chain(self):
+        batch, n, heads, dh, scale = 2, 40, 2, 4, 60.0
+        rng = np.random.default_rng(9)
+        packed = rng.standard_normal((batch, n, 3 * heads, dh)).swapaxes(1, 2) * scale
+        scores = packed[:, :heads] @ packed[:, heads:2 * heads].swapaxes(-1, -2)
+        assert (np.ptp(scores, axis=-1) / math.sqrt(dh)).min() > 1e3
+        out, grad, _ = attention_and_grad(lambda qkv, h, sink: attention_chain(qkv, h),
+                                          9, batch, n, heads, dh, scale)
+        fused, fused_grad, _ = attention_and_grad(T.attention, 9, batch, n, heads, dh,
+                                                  scale)
+        assert np.isfinite(fused).all() and np.isfinite(fused_grad).all()
+        assert_close(fused, out)
+        assert_close(fused_grad, grad)
 
     @pytest.mark.parametrize("rows", [3, 1000])
     @pytest.mark.parametrize("grad", [True, False])
@@ -242,6 +272,13 @@ class TestElementwise:
     def test_sigmoid_saturation_finite(self):
         out = T.sigmoid(Tensor([-800.0, 800.0]))
         assert np.isfinite(out.data).all()
+
+    def test_sigmoid_equals_three_exp_formula(self):
+        x = np.concatenate([np.random.default_rng(12).standard_normal(2000) * 30,
+                            [0.0, -0.0, -800.0, 800.0, 1e-300, -1e-300]])
+        old = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                       np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+        npt.assert_array_equal(T.sigmoid(Tensor(x)).data, old)
 
     def test_hadamard_column_broadcast(self):
         a = Tensor([[1.0, 2.0], [3.0, 4.0]])
