@@ -211,6 +211,18 @@ def op_check_suite(seed: int, eps: float = 1e-5, tol: float = 1e-4) -> GradCheck
     run("attention(multi-block)", attention_in_blocks,
         [Tensor(rng.standard_normal((2, n_tok, 3 * heads * dh)))])
 
+    # q shifted by 16 along e_0 with no e_1 part, k by 16 along e_1 with no e_0 part:
+    # the norm bound ‖q‖·‖k‖/sqrt(d_h) exceeds T._SHIFT_FREE_SCORES, so the row-max
+    # shift runs, while q·k and the finite differences stay at the other entries' scale.
+    dh = int(rng.integers(3, 6))
+    shifted = rng.standard_normal((2, n_tok, 3, heads, dh))
+    shifted[:, :, 0, :, 0] += 16.0
+    shifted[:, :, 0, :, 1] = 0.0
+    shifted[:, :, 1, :, 0] = 0.0
+    shifted[:, :, 1, :, 1] += 16.0
+    run("attention(shifted)", lambda x: T.attention(x, heads),
+        [Tensor(shifted.reshape(2, n_tok, 3 * heads * dh))])
+
     return report
 
 

@@ -261,6 +261,12 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 # one unblocked pass; the A5 geometry (batch 8, 4 heads, 84 tokens) fits one block.
 _ATTENTION_BLOCK_SCORES = 1 << 20
 
+# Largest score bound at which ``attention`` skips the row-max shift. With
+# |s| ≤ 64 every E entry lies in [e^−64, e^64] (about [1.6e-28, 6.2e27]): none
+# is subnormal, every row sum is at least e^−64, and E·[v | 1] overflows only
+# if n·max|v| exceeds about 1e280.
+_SHIFT_FREE_SCORES = 64.0
+
 
 def attention(qkv: Tensor, heads: int, sink: list | None = None) -> Tensor:
     """Scaled dot-product attention, ``softmax(q kᵀ / sqrt(d_h)) v``, of every
@@ -271,12 +277,18 @@ def attention(qkv: Tensor, heads: int, sink: list | None = None) -> Tensor:
     of these arrays, so no layout op or copy surrounds the op.
 
     Query rows go in blocks of about ``_ATTENTION_BLOCK_SCORES`` scores: each
-    block's scores are written, shifted by their row max and exponentiated in
-    place, giving E, and multiplied while still in cache by [v | 1], v with a
-    ones column appended. That one GEMM yields both E·v and the row sums of
-    E, so normalisation happens after the value product: the (..., n, d_h)
-    block output is scaled by 1/rowsum and no pass divides the n×n scores.
-    The max shift makes every row sum at least 1.
+    block's scores are written and exponentiated in place, giving E, and
+    multiplied while still in cache by [v | 1], v with a ones column
+    appended. That one GEMM yields both E·v and the row sums of E, so
+    normalisation happens after the value product: the (..., n, d_h) block
+    output is scaled by 1/rowsum and no pass divides the n×n scores.
+
+    Softmax does not change when a row is shifted; the shift only keeps
+    ``exp`` finite. So a block subtracts its row maxima only when, for some
+    row, the Cauchy–Schwarz bound |q_i·k_j| ≤ ‖q_i‖·max_j ‖k_j‖ exceeds
+    ``_SHIFT_FREE_SCORES`` (τ) or is not a number; the shifted rows then sum
+    to at least 1. In an unshifted block every score lies in [−τ, τ], so
+    every row sum is at least e^−τ and 1/rowsum is finite.
 
     When the node is recorded, the full (..., h, n, n) E and the (..., h, n,
     1) factors 1/rowsum are kept for backward; otherwise every block reuses
@@ -304,6 +316,8 @@ def attention(qkv: Tensor, heads: int, sink: list | None = None) -> Tensor:
     k = packed[..., h:2 * h, :, :]
     v = packed[..., 2 * h:, :, :]
     kt = k.swapaxes(-1, -2)
+    qq, kk = (np.einsum("...d,...d->...", x, x) for x in (q, k))
+    bound = qq * kk.max(axis=-1, keepdims=True)  # ‖q_i‖²·max_j ‖k_j‖²
     v1 = np.concatenate((v, np.ones(lead + (n, 1))), axis=-1)
     rows = min(n, max(1, _ATTENTION_BLOCK_SCORES // (matrices * n)))
     keep = sink is not None or (_state.grad_enabled and qkv.requires_grad)
@@ -318,7 +332,8 @@ def attention(qkv: Tensor, heads: int, sink: list | None = None) -> Tensor:
         s = exps[..., r0:r1, :] if keep else scratch[..., :r1 - r0, :]
         a = acc[..., :r1 - r0, :]
         np.matmul(q[..., r0:r1, :], kt, out=s)
-        s -= s.max(axis=-1, keepdims=True)
+        if not bound[..., r0:r1].max() <= _SHIFT_FREE_SCORES ** 2:
+            s -= s.max(axis=-1, keepdims=True)
         np.exp(s, out=s)
         np.matmul(s, v1, out=a)
         np.divide(1.0, a[..., dh:], out=inv[..., r0:r1, :])
@@ -330,10 +345,13 @@ def attention(qkv: Tensor, heads: int, sink: list | None = None) -> Tensor:
         if qkv.requires_grad:
             gqkv = np.empty(qkv.shape)
             gpacked = by_head(gqkv)
-            gi = by_head(g) * inv
+            # gi1 = [g·inv | −rowsum(g·inv ⊙ out)], so gi1·[v | 1]ᵀ is gi·vᵀ less the
+            # row-dot term of the softmax gradient in one GEMM.
+            gi1 = np.empty(lead + (n, dh + 1))
+            gi = np.multiply(by_head(g), inv, out=gi1[..., :dh])
+            np.negative((gi * out).sum(axis=-1, keepdims=True), out=gi1[..., dh:])
             np.matmul(exps.swapaxes(-1, -2), gi, out=gpacked[..., 2 * h:, :, :])
-            ds = np.matmul(gi, v.swapaxes(-1, -2))
-            ds -= (gi * out).sum(axis=-1, keepdims=True)
+            ds = np.matmul(gi1, v1.swapaxes(-1, -2))
             ds *= exps
             np.matmul(ds, k, out=gpacked[..., :h, :, :])
             gpacked[..., :h, :, :] *= c

@@ -51,14 +51,25 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 < self.tau < 1.0:
             raise ConfigError(f"tau must lie in (0, 1), got {self.tau}")
-        if self.lam < 0.0:
-            raise ConfigError(f"lam must be >= 0, got {self.lam}")
+        # Each float check reads `not <valid range>`, so a NaN fails it.
+        for name in ("base_lr", "weight_decay", "lam"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if not 0.0 < self.adam_eps < math.inf:
+            raise ConfigError(f"adam_eps must be finite and > 0, got {self.adam_eps}")
+        for name in ("total_iters", "batch_size", "log_every"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("warmup_iters", "eval_every"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.warmup_iters > self.total_iters:
             raise ConfigError(f"warmup_iters {self.warmup_iters} exceeds "
                               f"total_iters {self.total_iters}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.poly_power <= 0.0:
+        if not self.poly_power > 0.0:
             raise ConfigError(f"poly_power must be positive, got {self.poly_power}")
 
 

@@ -179,6 +179,17 @@ class TestTrain:
         assert "iteration 1: pixel term is nan" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("flag,value", [
+        ("log_every", "0"), ("base_lr", "nan"), ("lam", "nan"), ("adam_eps", "0"),
+        ("beta1", "1.5"), ("weight_decay", "-1"), ("total_iters", "0")])
+    def test_malformed_train_config_rejected(self, tmp_path, dataset_dir, capsys,
+                                             flag, value):
+        assert main(["train", "--data", str(dataset_dir), "--out", str(tmp_path / "o"),
+                     "--quiet", "--total_iters", "4", *TRAIN_FLAGS,
+                     f"--{flag}", value]) == 1
+        assert f"error: {flag} must" in capsys.readouterr().err
+
+
 class TestEval:
     def test_eval_deterministic_reports(self, tmp_path, trained, dataset_dir):
         reports = []

@@ -130,7 +130,8 @@ def attention_chain(qkv, heads):
 
 def attention_and_grad(f, seed, batch, n, heads, dh, scale=1.0):
     """Output, qkv gradient and sink of ``f`` under a fixed output adjoint;
-    ``scale`` multiplies the random q/k/v."""
+    ``scale``, a number or an array that broadcasts against (n, 3·heads·dh),
+    multiplies the random q/k/v."""
     rng = np.random.default_rng(seed)
     qkv = packed_qkv(rng, batch, n, heads, dh)
     qkv.data *= scale
@@ -201,6 +202,55 @@ class TestAttention:
         assert np.isfinite(fused).all() and np.isfinite(fused_grad).all()
         assert_close(fused, out)
         assert_close(fused_grad, grad)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 24), st.integers(1, 3), st.integers(1, 5),
+           st.integers(1, 30), st.integers(0, 2**16))
+    def test_shifted_equals_unshifted(self, batch, n, heads, dh, rows, seed):
+        """Every block shifted by its row max (τ = 0) against none (τ = ∞)."""
+        runs = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(T, "_ATTENTION_BLOCK_SCORES", rows * batch * heads * n)
+            for tau in (0.0, math.inf):
+                mp.setattr(T, "_SHIFT_FREE_SCORES", tau)
+                runs.append(attention_and_grad(T.attention, seed, batch, n, heads, dh))
+        for actual, desired in zip(*runs):
+            assert_close(np.asarray(actual), np.asarray(desired))
+
+    def test_shifted_and_unshifted_blocks_equal_op_chain(self, monkeypatch):
+        """The q of query rows 6 and 7 scaled ×1000, so their unshifted exp
+        would overflow: of four blocks of 3 rows, only the third takes the
+        row-max shift."""
+        batch, n, heads, dh, rows = 2, 12, 2, 4, 3
+        monkeypatch.setattr(T, "_ATTENTION_BLOCK_SCORES", rows * batch * heads * n)
+        scale = np.ones((n, 3 * heads * dh))
+        scale[6:8, :heads * dh] = 1000.0
+        qkv = packed_qkv(np.random.default_rng(4), batch, n, heads, dh).data * scale
+        q, k = (qkv[..., i * heads * dh:(i + 1) * heads * dh].reshape(batch, n, heads, dh)
+                for i in (0, 1))
+        bound = (np.linalg.norm(q, axis=-1) / math.sqrt(dh)
+                 * np.linalg.norm(k, axis=-1).max(axis=1, keepdims=True))
+        assert [bound[:, r:r + rows].max() > T._SHIFT_FREE_SCORES
+                for r in range(0, n, rows)] == [False, False, True, False]
+        scores = np.einsum("bihd,bjhd->bhij", q, k) / math.sqrt(dh)
+        assert scores.max() > math.log(np.finfo(float).max)  # exp(scores) overflows
+        out, grad, _ = attention_and_grad(lambda qkv, h, sink: attention_chain(qkv, h),
+                                          4, batch, n, heads, dh, scale)
+        fused, fused_grad, _ = attention_and_grad(T.attention, 4, batch, n, heads, dh, scale)
+        assert_close(fused, out)
+        assert_close(fused_grad, grad)
+
+    @pytest.mark.parametrize("tau", [0.0, math.inf])
+    @pytest.mark.parametrize("where", ["q", "k", "v"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_gives_non_finite_output(self, monkeypatch, tau, where, bad):
+        batch, n, heads, dh = 2, 6, 2, 3
+        monkeypatch.setattr(T, "_SHIFT_FREE_SCORES", tau)
+        qkv = packed_qkv(np.random.default_rng(8), batch, n, heads, dh, grad=False)
+        qkv.data[1, 4, "qkv".index(where) * heads * dh + dh + 2] = bad
+        with np.errstate(all="ignore"):
+            out = T.attention(qkv, heads).data
+        assert not np.isfinite(out).all()
 
     @pytest.mark.parametrize("rows", [3, 1000])
     @pytest.mark.parametrize("grad", [True, False])

@@ -139,6 +139,24 @@ class TestLrSchedule:
             TrainConfig(warmup_iters=10, total_iters=5)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("key,value", [
+        ("base_lr", math.nan), ("base_lr", math.inf), ("base_lr", -1e-5),
+        ("weight_decay", -1.0), ("weight_decay", math.nan), ("lam", math.nan),
+        ("lam", math.inf), ("beta1", 1.5), ("beta1", 1.0), ("beta1", -0.1),
+        ("beta1", math.nan), ("beta2", 1.0), ("beta2", math.nan), ("adam_eps", 0.0),
+        ("adam_eps", math.nan), ("adam_eps", math.inf), ("total_iters", 0),
+        ("log_every", 0), ("warmup_iters", -1), ("eval_every", -1),
+        ("poly_power", math.nan)])
+    def test_malformed_value_names_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key} must"):
+            TrainConfig(**{key: value})
+
+    def test_range_edges_accepted(self):
+        TrainConfig(base_lr=0.0, weight_decay=0.0, lam=0.0, beta1=0.0, beta2=0.0,
+                    warmup_iters=0, total_iters=1, eval_every=0, log_every=1)
+
+
 class TestAdamW:
     def test_zero_grad_zero_decay_fixed_point(self):
         t = Tensor(np.array([[1.0, -2.0]]), requires_grad=True)
