@@ -137,17 +137,27 @@ def init_model(rng: np.random.Generator, cfg: ModelConfig) -> RestrParams:
                        decoder=init_decoder(rng, cfg))
 
 
-def forward(images: np.ndarray, token_ids: Sequence[Sequence[int]], params: RestrParams,
-            cfg: ModelConfig, with_pixels: bool = True) -> PredictionPair:
-    """Full pipeline on a batch of (B, H, W, C) images, one expression each:
-    encode both modalities, fuse, classify patches, decode."""
+def encode(images: np.ndarray, token_ids: Sequence[Sequence[int]], params: RestrParams,
+           cfg: ModelConfig, with_pixels: bool = True
+           ) -> tuple[Tensor, Tensor | None, Tensor]:
+    """The token stages on a batch of (B, H, W, C) images, one expression
+    each: encode both modalities, fuse, classify patches. Returns the
+    projected patches, the masked fused patches that ``decode_pixels`` takes
+    beside them (None without pixels) and the patch probabilities."""
     z_v = vision_encode(images, params.vision, cfg)
     z_l = language_encode(token_ids, params.language, cfg)
     pv, pl = project(z_v, z_l, params.fusion)
     z_v_fused, e_s = fuse(pv, pl, params.fusion)
     patch_probs = patch_predict(z_v_fused, e_s)
-    if not with_pixels:
-        return PredictionPair(patch_probs=patch_probs, pixel_logits=None)
-    masked = mask_features(z_v_fused, patch_probs)
-    pixel_logits = decode_pixels(pv, masked, params.decoder, cfg)
+    masked = mask_features(z_v_fused, patch_probs) if with_pixels else None
+    return pv, masked, patch_probs
+
+
+def forward(images: np.ndarray, token_ids: Sequence[Sequence[int]], params: RestrParams,
+            cfg: ModelConfig, with_pixels: bool = True) -> PredictionPair:
+    """Full pipeline on a batch of (B, H, W, C) images, one expression each:
+    the token stages of ``encode``, then ``decode_pixels``."""
+    pv, masked, patch_probs = encode(images, token_ids, params, cfg, with_pixels)
+    pixel_logits = (decode_pixels(pv, masked, params.decoder, cfg) if with_pixels
+                    else None)
     return PredictionPair(patch_probs=patch_probs, pixel_logits=pixel_logits)

@@ -12,8 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
+from . import decoder
 from . import tensor as T
-from .decoder import forward
 
 PREC_THRESHOLDS = (0.5, 0.6, 0.7, 0.8, 0.9)
 DEFAULT_BUCKETS = "1-2,3,4-5,6-20"
@@ -76,6 +76,14 @@ def parse_buckets(spec: str) -> list[tuple[int, int]]:
     return buckets
 
 
+def _bucket_of(length: int, buckets: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """The first bucket that holds ``length``."""
+    for b in buckets:
+        if b[0] <= length <= b[1]:
+            return b
+    raise ValueError(f"expression length {length} not covered by {list(buckets)}")
+
+
 def bucket_by_length(lengths: Sequence[int],
                      inter_unions: Sequence[tuple[int, int]],
                      buckets: Sequence[tuple[int, int]]) -> dict[tuple[int, int], float]:
@@ -83,10 +91,7 @@ def bucket_by_length(lengths: Sequence[int],
     sums = {b: [0, 0] for b in buckets}
     counts = {b: 0 for b in buckets}
     for length, (inter, union) in zip(lengths, inter_unions):
-        homes = [b for b in buckets if b[0] <= length <= b[1]]
-        if not homes:
-            raise ValueError(f"expression length {length} not covered by {buckets}")
-        b = homes[0]
+        b = _bucket_of(length, buckets)
         sums[b][0] += inter
         sums[b][1] += union
         counts[b] += 1
@@ -128,24 +133,54 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def _predict_mask(params, cfg, sample, use_decoder: bool) -> np.ndarray:
-    with T.no_grad():
-        pred = forward(np.asarray(sample.image)[None], [sample.token_ids], params, cfg,
-                       with_pixels=use_decoder)
-    if use_decoder:
-        return binarize(pred.pixel_logits.data[0])
+# Fused-stack attention scores that one token-stage forward of ``predicted_masks``
+# may hold: (heads · fused_len²) per sample gives 4 samples at the A5 geometry
+# (4 heads, 85 tokens) and 1 at A8 (2 heads, 921 tokens).
+_CHUNK_SCORES = 1 << 17
+
+
+def _chunk_size(cfg) -> int:
+    """Samples per token-stage forward of ``predicted_masks``."""
+    return max(1, _CHUNK_SCORES // (cfg.heads * cfg.fused_len ** 2))
+
+
+def _patch_mask(patch_probs: np.ndarray, cfg) -> np.ndarray:
+    """Thresholded patch probabilities replicated to pixel resolution."""
     gh, gw = cfg.patch_grid
-    blocks = (pred.patch_probs.data.reshape(gh, gw) >= 0.5).astype(np.uint8)
+    blocks = (patch_probs.reshape(gh, gw) >= 0.5).astype(np.uint8)
     return np.repeat(np.repeat(blocks, cfg.patch_size, 0), cfg.patch_size, 1)
+
+
+def _chunk_masks(params, cfg, chunk: Sequence, use_decoder: bool) -> list[np.ndarray]:
+    """Masks of consecutive samples: one token-stage forward over the chunk,
+    then the decoder on each sample alone. A chunk of one passes the image
+    as a view, not a copy. Nothing of the chunk outlives the call, and no
+    sample's logits outlive its binarization."""
+    images = (np.asarray(chunk[0].image)[None] if len(chunk) == 1
+              else np.stack([np.asarray(s.image) for s in chunk]))
+    pv, masked, probs = decoder.encode(images, [s.token_ids for s in chunk], params,
+                                       cfg, with_pixels=use_decoder)
+    if not use_decoder:
+        return [_patch_mask(p, cfg) for p in probs.data]
+    return [binarize(decoder.decode_pixels(T.Tensor(v), T.Tensor(m), params.decoder,
+                                           cfg).data)
+            for v, m in zip(pv.data, masked.data)]
 
 
 def predicted_masks(params, cfg, dataset: Sequence,
                     use_decoder: bool = True) -> list[np.ndarray]:
-    """Binary masks for every sample, in dataset order. Each sample is its
-    own forward (a batch of one), which keeps peak memory at one sample's
-    activations. Without the decoder, the mask is the thresholded patch
+    """Binary masks for every sample, in dataset order.
+
+    Consecutive samples go through the token stages (``decoder.encode``) in
+    chunks of ``_chunk_size(cfg)``; the decoder then runs on each sample of
+    the chunk alone. Decoding holds the pixel grids, the bulk of a forward's
+    memory, so peak memory stays near one sample's decode plus one chunk's
+    token stages. Without the decoder, the mask is the thresholded patch
     prediction replicated to pixel resolution."""
-    return [_predict_mask(params, cfg, s, use_decoder) for s in dataset]
+    step = _chunk_size(cfg)
+    with T.no_grad():
+        return [mask for c0 in range(0, len(dataset), step)
+                for mask in _chunk_masks(params, cfg, dataset[c0:c0 + step], use_decoder)]
 
 
 def evaluate_model(params, cfg, dataset: Sequence,
@@ -157,12 +192,15 @@ def evaluate_model(params, cfg, dataset: Sequence,
         raise ValueError("evaluate_model needs a nonempty dataset")
     if isinstance(buckets, str):
         buckets = parse_buckets(buckets)
+    # the model truncates longer expressions to max_tokens
+    lengths = [min(len(s.token_ids), cfg.max_tokens) for s in dataset]
+    for length in lengths:  # fail before the forward, not after it
+        _bucket_of(length, buckets)
     preds = predicted_masks(params, cfg, dataset, use_decoder=use_decoder)
     gts = [np.asarray(s.mask).reshape(p.shape).astype(np.uint8)
            for p, s in zip(preds, dataset)]
     ius = [intersection_union(p, g) for p, g in zip(preds, gts)]
     ious = [_iou(i, u) for i, u in ius]
-    lengths = [len(s.token_ids) for s in dataset]
     return EvalReport(
         cumulative_iou=_iou(sum(i for i, _ in ius), sum(u for _, u in ius)),
         ious=ious,

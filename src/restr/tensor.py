@@ -296,8 +296,9 @@ def attention(qkv: Tensor, heads: int, sink: list | None = None) -> Tensor:
     probabilities E·(1/rowsum) as one (..., h, n, n) array. The MAC count is
     the model's 2·n²·d_h per matrix; the ones column is not counted.
     """
-    if qkv.data.ndim < 2 or heads < 1 or qkv.shape[-1] % (3 * heads):
-        raise ShapeError(f"attention needs (..., n, 3*{heads}*d_h) token-major q/k/v, "
+    if (qkv.data.ndim < 2 or heads < 1 or qkv.shape[-2] == 0
+            or qkv.shape[-1] % (3 * heads)):
+        raise ShapeError(f"attention needs (..., n ≥ 1, 3*{heads}*d_h) token-major q/k/v, "
                          f"got shape {qkv.shape}")
     h = heads
     *batch, n, width = qkv.shape

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import restr.tensor as T
-from restr import training
+from restr import decoder, training
 from restr.checkpoint import load_checkpoint, save_checkpoint
 from restr.cli import main
 from restr.data import VOCABULARY, generate, load, save
@@ -218,6 +218,28 @@ class TestEval:
             u = int(r["union"])
             iou = int(r["intersection"]) / u if u else 1.0
             assert abs(float(r["iou"]) - iou) < 1e-6
+
+    def test_long_expression_evaluates(self, tmp_path, trained, dataset_dir, capsys):
+        # the loader keeps all 48 tokens; the model reads the first max_tokens
+        long = tmp_path / "long"
+        shutil.copytree(dataset_dir, long)
+        lines = (long / "index.txt").read_text().splitlines()
+        lines[1] = " ".join(lines[1].split()[:3] + ["2"] * 48)
+        (long / "index.txt").write_text("\n".join(lines) + "\n")
+        with pytest.warns(UserWarning, match="truncated"):
+            assert main(["eval", "--ckpt", str(trained / "checkpoint.rstr"),
+                         "--data", str(long)]) == 0
+        assert "IoU len 6-20" in capsys.readouterr().out
+
+    def test_uncovered_bucket_fails_before_forward(self, trained, dataset_dir,
+                                                   monkeypatch, capsys):
+        def no_forward(*args, **kwargs):
+            raise AssertionError("forward ran before the bucket check")
+
+        monkeypatch.setattr(decoder, "encode", no_forward)
+        assert main(["eval", "--ckpt", str(trained / "checkpoint.rstr"),
+                     "--data", str(dataset_dir), "--buckets", "1-2"]) == 1
+        assert "not covered by" in capsys.readouterr().err
 
     def test_missing_checkpoint(self, tmp_path, dataset_dir):
         assert main(["eval", "--ckpt", str(tmp_path / "no.rstr"),

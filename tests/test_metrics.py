@@ -1,4 +1,8 @@
-"""Evaluation metrics: cumulative IoU, Prec@X, length buckets."""
+"""Evaluation metrics: cumulative IoU, Prec@X, length buckets, and the
+chunked prediction path."""
+
+import dataclasses
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -6,9 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from restr import decoder, metrics
+from restr.data import VOCABULARY, generate
+from restr.decoder import init_model
+from restr.encoders import ModelConfig
 from restr.metrics import (binarize, bucket_by_length, cumulative_iou,
-                           intersection_union, parse_buckets, prec_at,
-                           sample_iou, EvalReport)
+                           evaluate_model, intersection_union, parse_buckets,
+                           predicted_masks, prec_at, sample_iou, EvalReport)
 
 
 def block_mask(h, w, r0, c0, r1, c1):
@@ -157,3 +165,107 @@ class TestReport:
         assert rows[0] == "metric,key,value"
         assert any(r.startswith("prec,0.5,") for r in rows)
         assert "cumulative IoU" in report.text_table()
+
+
+# The A5 geometry of the benchmark's eval_a5 workload and the A8 geometry of
+# eval_r480.
+A5 = dict(image_h=64, image_w=64, patch_size=8, dim_vision=64, dim_language=64,
+          dim_fusion=64, vision_layers=2, language_layers=2, fusion_layers=2,
+          heads=4, fusion_variant="cme")
+A8 = dict(image_h=480, image_w=480, patch_size=16, dim_vision=16, dim_language=16,
+          dim_fusion=16, vision_layers=1, language_layers=1, fusion_layers=2,
+          heads=2, fusion_variant="vme")
+
+
+@pytest.fixture(scope="module")
+def a5_model():
+    cfg = ModelConfig(vocab_size=len(VOCABULARY), **A5)
+    return cfg, init_model(np.random.default_rng(0), cfg)
+
+
+@pytest.fixture(scope="module")
+def a5_samples():
+    return generate(3, 10, 64, 64).samples
+
+
+class TestChunkedPrediction:
+    def test_chunk_size_at_benchmark_geometries(self):
+        assert metrics._chunk_size(ModelConfig(**A5)) == 4
+        assert metrics._chunk_size(ModelConfig(**A8)) == 1
+
+    # 10 samples run as chunks of 4, 4 and 2
+    @pytest.mark.parametrize("use_decoder", [True, False])
+    def test_set_equals_single_samples(self, a5_model, a5_samples, use_decoder):
+        cfg, params = a5_model
+        whole = predicted_masks(params, cfg, a5_samples, use_decoder=use_decoder)
+        assert len(whole) == len(a5_samples)
+        for sample, mask in zip(a5_samples, whole):
+            alone = predicted_masks(params, cfg, [sample], use_decoder=use_decoder)
+            npt.assert_array_equal(mask, alone[0])
+
+    def test_report_equals_single_samples(self, a5_model, a5_samples):
+        cfg, params = a5_model
+        report = evaluate_model(params, cfg, a5_samples)
+        singles = [evaluate_model(params, cfg, [s]).inter_unions[0] for s in a5_samples]
+        assert report.inter_unions == singles
+
+    def test_chunk_of_one_passes_the_image_as_a_view(self, a5_model, a5_samples,
+                                                      monkeypatch):
+        seen = []
+        encode = decoder.encode
+
+        def spy(images, *args, **kwargs):
+            seen.append(images)
+            return encode(images, *args, **kwargs)
+
+        monkeypatch.setattr(decoder, "encode", spy)
+        cfg, params = a5_model
+        predicted_masks(params, cfg, a5_samples[:1])
+        assert np.shares_memory(seen[0], a5_samples[0].image)
+
+    def test_peak_memory_decodes_one_sample_at_a_time(self, a5_model, a5_samples):
+        # 8 samples are two chunks of 4. Their token stages and one sample's
+        # decode measured 3.3 MiB; decoding a whole chunk at once, 8.0 MiB.
+        cfg, params = a5_model
+        peak = peak_bytes(lambda: predicted_masks(params, cfg, a5_samples[:8]))
+        assert peak < 6 * 2 ** 20
+
+    def test_no_logits_outlive_their_sample(self, a5_model, a5_samples, monkeypatch):
+        # In chunks of one, each further sample may add its uint8 mask (H·W
+        # bytes) to the peak; the last sample's float64 logits, kept alive
+        # through the next forward, would add 8·H·W more.
+        monkeypatch.setattr(metrics, "_CHUNK_SCORES", 1)
+        cfg, params = a5_model
+        one, three = (peak_bytes(lambda: predicted_masks(params, cfg, a5_samples[:n]))
+                      for n in (1, 3))
+        assert three - one < 4 * cfg.image_h * cfg.image_w
+
+
+def peak_bytes(fn) -> int:
+    """tracemalloc's peak over one call of ``fn``, after an untraced warm-up."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestEvalBuckets:
+    def test_truncated_expression_buckets_at_max_tokens(self, a5_model, a5_samples):
+        cfg, params = a5_model
+        long = dataclasses.replace(a5_samples[0], token_ids=[2] * 48)
+        with pytest.warns(UserWarning, match="truncated"):
+            report = evaluate_model(params, cfg, [long], buckets="1-2,3,4-5,6-20")
+        assert list(report.length_buckets) == [(6, 20)]
+
+    def test_uncovered_length_fails_before_forward(self, a5_model, a5_samples,
+                                                   monkeypatch):
+        def no_forward(*args, **kwargs):
+            raise AssertionError("forward ran before the bucket check")
+
+        monkeypatch.setattr(decoder, "encode", no_forward)
+        cfg, params = a5_model
+        with pytest.raises(ValueError, match="not covered"):
+            evaluate_model(params, cfg, a5_samples, buckets="1-2")

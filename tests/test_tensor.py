@@ -279,9 +279,11 @@ class TestAttention:
         assert [node.tag for node in T._state.tape] == ["attention"]
         T.reset_graph()
 
-    # a last axis not divisible by 3·heads (twice), a single axis, no heads
+    # a last axis not divisible by 3·heads (twice), a single axis, no heads,
+    # no tokens
     @pytest.mark.parametrize("shape,heads", [((2, 5, 9), 2), ((5, 4), 2),
-                                             ((12,), 2), ((2, 5, 6), 0)])
+                                             ((12,), 2), ((2, 5, 6), 0),
+                                             ((1, 0, 6), 2)])
     def test_bad_packing_rejected(self, shape, heads):
         with pytest.raises(ShapeError):
             T.attention(Tensor(np.zeros(shape)), heads)
