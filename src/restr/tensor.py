@@ -3,8 +3,11 @@
 Every operation records a node on a module-level tape while gradients are
 enabled and at least one input requires them. ``backward`` walks the tape in
 reverse append order, accumulates gradients into the leaves, and consumes the
-tape (one backward per recorded graph). Values are float64 throughout; the
-checkpoint layer is the only place 32-bit precision appears.
+tape (one backward per recorded graph). An intermediate tensor's gradient is
+released as soon as its node's backward has run, so the sweep holds only the
+gradients that some node still has to consume; leaves keep theirs. Values are
+float64 throughout; the checkpoint layer is the only place 32-bit precision
+appears.
 """
 
 from __future__ import annotations
@@ -172,6 +175,12 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 def backward(loss: Tensor) -> None:
     """Reverse-sweep the tape from ``loss``, populating ``grad`` on leaves.
 
+    Each node's output gradient is released (set to ``None``) right after
+    that node's backward has run: every consumer of the output comes later
+    on the tape, so nothing adds to it again. The array itself lives on only
+    where an input's gradient holds it by reference. Leaves keep their
+    gradients; intermediates end the pass with ``grad`` None.
+
     The tape is consumed: a second backward on the same graph raises
     :class:`GraphError`, as does a non-scalar or unrecorded loss.
     """
@@ -189,8 +198,7 @@ def backward(loss: Tensor) -> None:
         if g is None:
             continue  # side branch that does not feed the loss
         node.backward(g)
-    for node in tape:
-        node.out.grad = None  # free intermediates; leaves keep their grads
+        node.out.grad = None
     tape.clear()
     _state.epoch += 1
 
@@ -256,9 +264,14 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _record("softmax", (x,), y, bwd)
 
 
-# Scores per query block of ``attention``: 8 MiB of float64. On the 921-token
-# eval_r480 geometry this measured faster than 1, 2 and 4 MiB blocks and than
-# one unblocked pass; the A5 geometry (batch 8, 4 heads, 84 tokens) fits one block.
+# Scores per query block of ``attention``: 8 MiB of float64. The allocator sets
+# this size, not the cache: freeing an mmap'd 8 MiB block raises glibc's dynamic
+# mmap threshold to 8 MiB, which keeps the 480×480 decoder grids that follow on
+# the heap. A 1 MiB block runs a no-grad 921-token attention alone slightly
+# faster (6.8 against 7.1–7.6 ms on a 2-vCPU Xeon, 2 MiB L2 per core), but then
+# each 480×480 sample takes about 1,400 minor faults and 5 ms of system time,
+# against about 120 and 1 ms. The A5 geometry (batch 8, 4 heads, 84 tokens)
+# fits one block.
 _ATTENTION_BLOCK_SCORES = 1 << 20
 
 # Largest score bound at which ``attention`` skips the row-max shift. With

@@ -18,6 +18,8 @@ from restr.metrics import (binarize, bucket_by_length, cumulative_iou,
                            evaluate_model, intersection_union, parse_buckets,
                            predicted_masks, prec_at, sample_iou, EvalReport)
 
+from conftest import A5, A8
+
 
 def block_mask(h, w, r0, c0, r1, c1):
     m = np.zeros((h, w), dtype=np.uint8)
@@ -165,16 +167,6 @@ class TestReport:
         assert rows[0] == "metric,key,value"
         assert any(r.startswith("prec,0.5,") for r in rows)
         assert "cumulative IoU" in report.text_table()
-
-
-# The A5 geometry of the benchmark's eval_a5 workload and the A8 geometry of
-# eval_r480.
-A5 = dict(image_h=64, image_w=64, patch_size=8, dim_vision=64, dim_language=64,
-          dim_fusion=64, vision_layers=2, language_layers=2, fusion_layers=2,
-          heads=4, fusion_variant="cme")
-A8 = dict(image_h=480, image_w=480, patch_size=16, dim_vision=16, dim_language=16,
-          dim_fusion=16, vision_layers=1, language_layers=1, fusion_layers=2,
-          heads=2, fusion_variant="vme")
 
 
 @pytest.fixture(scope="module")

@@ -1,10 +1,7 @@
 """Tensor engine: forward semantics, autodiff, stability, error contracts."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -15,6 +12,8 @@ from hypothesis import strategies as st
 import restr.tensor as T
 from restr.tensor import GraphError, ShapeError, Tensor
 from restr.gradcheck import grad_check, scalarized
+
+from conftest import run_with_blas_threads
 
 
 _UPSAMPLE = """
@@ -27,15 +26,6 @@ out = T.upsample2x_bilinear(x)
 T.backward(T.sum_all(T.hadamard(out, T.Tensor(rng.standard_normal(out.shape)))))
 print(hashlib.sha256(out.data.tobytes()).hexdigest(), hashlib.sha256(x.grad.tobytes()).hexdigest())
 """
-
-
-def _upsample_in_subprocess(blas_threads: str) -> str:
-    """Hashes of one 240x240x2 forward and adjoint at a BLAS thread count."""
-    src = str(Path(T.__file__).resolve().parents[1])
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": blas_threads,
-           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    return subprocess.run([sys.executable, "-c", _UPSAMPLE], env=env, check=True,
-                          capture_output=True, text=True).stdout
 
 
 def tensor(data, grad=True):
@@ -433,9 +423,9 @@ class TestUpsample:
         assert np.abs(xt.grad - dense_adjoint).max() <= 1e-15 * np.abs(dense_adjoint).max()
 
     def test_bits_do_not_depend_on_blas_threads(self):
-        first = _upsample_in_subprocess("1")
+        first = run_with_blas_threads(_UPSAMPLE, "1")
         assert len(first.split()) == 2
-        assert _upsample_in_subprocess("2") == first
+        assert run_with_blas_threads(_UPSAMPLE, "2") == first
 
 
 class TestBce:
@@ -516,6 +506,25 @@ class TestBackward:
         with T.no_grad():
             out = T.sum_all(x)
         assert out.op is None and not out.requires_grad
+
+    def test_backward_memory_stays_bounded(self):
+        # Each scale's output gradient is released once that scale's backward
+        # has run, so the sweep holds a few leaf-sized arrays, not one per op.
+        x = tensor(np.ones((128, 128)))
+        y = x
+        for _ in range(16):
+            y = T.scale(y, 0.5)
+        loss = T.sum_all(y)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            T.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - start) / x.data.nbytes <= 4
+        assert y.grad is None and loss.grad is None
+        npt.assert_array_equal(x.grad, np.full((128, 128), 0.5 ** 16))
 
     def test_side_branch_does_not_contribute(self):
         x = tensor([1.0, 2.0])

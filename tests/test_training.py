@@ -9,7 +9,7 @@ import restr.tensor as T
 import numpy.testing as npt
 import pytest
 
-from restr.data import generate
+from restr.data import VOCABULARY, generate
 from restr.decoder import forward, init_model
 from restr.encoders import ModelConfig, patchify
 from restr.metrics import cumulative_iou, predicted_masks
@@ -17,6 +17,8 @@ from restr.tensor import Tensor
 from restr.training import (AdamW, NonFiniteLossError, TrainConfig, batch_indices,
                             lr_at, patch_labels, segmentation_loss, train)
 from restr.transformer import ConfigError
+
+from conftest import A5, run_with_blas_threads
 
 
 def brute_force_patch_labels(mask, p, tau):
@@ -399,3 +401,39 @@ class TestBatchInvariance:
                 batched = forward(images[order], [ids[i] for i in order],
                                   params, cfg).pixel_logits.data[pos]
                 npt.assert_allclose(batched, alone, rtol=0, atol=1e-12)
+
+
+# One batch-8 A5 model: the no-grad pixel logits, then every parameter gradient
+# of the training loss, each as a SHA-256 of its bytes.
+_A5_BITS = f"""
+import hashlib
+import numpy as np
+import restr.tensor as T
+from restr.data import VOCABULARY, generate
+from restr.decoder import forward, init_model
+from restr.encoders import ModelConfig
+from restr.training import patch_labels, segmentation_loss
+cfg = ModelConfig(vocab_size=len(VOCABULARY), **{A5!r})
+params = init_model(np.random.default_rng(0), cfg)
+samples = generate(5, 8, 64, 64).samples
+images = np.stack([s.image for s in samples])
+ids = [s.token_ids for s in samples]
+masks = np.stack([s.mask for s in samples])
+y_p = np.stack([patch_labels(m, cfg.patch_size, 0.8) for m in masks])
+with T.no_grad():
+    logits = forward(images, ids, params, cfg).pixel_logits.data
+print(hashlib.sha256(logits.tobytes()).hexdigest())
+total, _, _ = segmentation_loss(forward(images, ids, params, cfg), y_p, masks, lam=0.1)
+T.backward(total)
+for name, t, _ in params.named_parameters():
+    print(name, hashlib.sha256(t.grad.tobytes()).hexdigest())
+"""
+
+
+def test_a5_bits_do_not_depend_on_blas_threads():
+    # At A8 the 900-token attention GEMMs change bits with the thread count
+    # (about 7e-16 relative), so only A5 is held to bit identity.
+    first = run_with_blas_threads(_A5_BITS, "1").splitlines()
+    cfg = ModelConfig(vocab_size=len(VOCABULARY), **A5)
+    assert len(first) == 1 + len(init_model(np.random.default_rng(0), cfg).named_parameters())
+    assert run_with_blas_threads(_A5_BITS, "2").splitlines() == first
