@@ -41,11 +41,6 @@ def _iou(inter: int, union: int) -> float:
     return inter / union if union else 1.0
 
 
-def sample_iou(pred: np.ndarray, gt: np.ndarray) -> float:
-    """Per-sample IoU of two binary masks."""
-    return _iou(*intersection_union(pred, gt))
-
-
 def cumulative_iou(preds: Sequence[np.ndarray], gts: Sequence[np.ndarray]) -> float:
     if len(preds) == 0 or len(preds) != len(gts):
         raise ValueError(f"need equal-length nonempty sequences, "

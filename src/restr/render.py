@@ -33,40 +33,6 @@ def write_ppm(path, rgb: np.ndarray) -> None:
     Path(path).write_bytes(header + arr.astype(np.uint8).tobytes())
 
 
-def _read_netpbm(path, magic: bytes, channels: int) -> np.ndarray:
-    blob = Path(path).read_bytes()
-    fields: list[bytes] = []
-    pos = 0
-    while len(fields) < 4:
-        while pos < len(blob) and blob[pos:pos + 1].isspace():
-            pos += 1
-        if blob[pos:pos + 1] == b"#":
-            while pos < len(blob) and blob[pos:pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(blob) and not blob[pos:pos + 1].isspace():
-            pos += 1
-        fields.append(blob[start:pos])
-    if fields[0] != magic:
-        raise ValueError(f"{path}: expected {magic.decode()} file, got {fields[0]!r}")
-    w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
-    if maxval != 255:
-        raise ValueError(f"{path}: unsupported maxval {maxval}")
-    pos += 1  # single whitespace after maxval
-    data = np.frombuffer(blob, dtype=np.uint8, count=w * h * channels, offset=pos)
-    shape = (h, w) if channels == 1 else (h, w, channels)
-    return data.reshape(shape)
-
-
-def read_pgm(path) -> np.ndarray:
-    return _read_netpbm(path, b"P5", 1)
-
-
-def read_ppm(path) -> np.ndarray:
-    return _read_netpbm(path, b"P6", 3)
-
-
 def mask_boundary(mask: np.ndarray) -> np.ndarray:
     """Mask pixels with at least one 4-neighbor outside the mask."""
     m = np.asarray(mask, dtype=bool)

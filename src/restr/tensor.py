@@ -3,11 +3,19 @@
 Every operation records a node on a module-level tape while gradients are
 enabled and at least one input requires them. ``backward`` walks the tape in
 reverse append order, accumulates gradients into the leaves, and consumes the
-tape (one backward per recorded graph). An intermediate tensor's gradient is
-released as soon as its node's backward has run, so the sweep holds only the
-gradients that some node still has to consume; leaves keep theirs. Values are
-float64 throughout; the checkpoint layer is the only place 32-bit precision
-appears.
+tape (one backward per recorded graph).
+
+The tape keeps only the arrays backward reads. A node holds no input or
+output tensor. It holds its backward closure, which captures the arrays and
+shapes its gradient formulas use, and the gradient slot of each input that
+needs a gradient: the input's node, or the leaf itself. So an intermediate
+that no backward reads, such as a matmul output that only a bias add
+consumes, is freed as soon as the forward drops it. Intermediates never
+carry ``.grad``: their gradients accumulate on their nodes during the sweep,
+and only leaves keep one. ``backward`` and ``reset_graph`` release every
+node they pass, so a loss or prediction the caller still holds does not pin
+the graph. Values are float64 throughout; the checkpoint layer is the only
+place 32-bit precision appears.
 """
 
 from __future__ import annotations
@@ -38,19 +46,23 @@ class Tensor:
     """A dense n-dimensional float64 array with an optional gradient buffer.
 
     ``requires_grad`` marks trainable leaves; tensors produced by operations
-    inherit it from their inputs. ``grad`` stays ``None`` until a backward
-    pass deposits into it.
+    inherit it from their inputs. A leaf's ``grad`` stays ``None`` until a
+    backward pass deposits into it; an operation's output never carries one.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "op", "_epoch", "_grad_epoch")
+    __slots__ = ("data", "requires_grad", "grad", "_node", "_grad_epoch")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self.op: str | None = None  # tag of the producing operation, None for leaves
-        self._epoch = -1
-        self._grad_epoch = -1  # epoch whose backward allocated ``grad``; see _owns_grad
+        self._node: _Node | None = None  # the producing node, None for leaves
+        self._grad_epoch = -1  # epoch whose backward allocated ``grad``; see _accum
+
+    @property
+    def op(self) -> str | None:
+        """Tag of the producing operation, None for leaves."""
+        return None if self._node is None else self._node.tag
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -77,14 +89,25 @@ class Tensor:
 
 
 class _Node:
-    __slots__ = ("tag", "inputs", "out", "backward")
+    """One recorded op. ``backward`` maps the output gradient to one gradient
+    per input; ``slots`` holds, per input, where that gradient accumulates
+    (None for an input that needs none); ``grad`` accumulates the output
+    gradient during the sweep."""
 
-    def __init__(self, tag: str, inputs: tuple[Tensor, ...], out: Tensor,
-                 backward: Callable[[np.ndarray], None]):
+    __slots__ = ("tag", "backward", "slots", "grad", "_grad_epoch")
+
+    def __init__(self, tag: str, backward: Callable[[np.ndarray], Sequence],
+                 slots: tuple):
         self.tag = tag
-        self.inputs = inputs
-        self.out = out
         self.backward = backward
+        self.slots = slots
+        self.grad: np.ndarray | None = None
+        self._grad_epoch = -1
+
+    def release(self) -> None:
+        """Drop the closure, the slots and the gradient: a consumed node pins
+        nothing, even while a caller still holds its output tensor."""
+        self.backward = self.slots = self.grad = None
 
 
 class _TapeState(threading.local):
@@ -136,69 +159,79 @@ def count_macs():
 
 def reset_graph() -> None:
     """Drop any recorded-but-unconsumed tape (e.g. after an abandoned forward)."""
+    for node in _state.tape:
+        node.release()
     _state.tape.clear()
     _state.epoch += 1
 
 
 def _record(tag: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
-            backward: Callable[[np.ndarray], None]) -> Tensor:
-    needs = _state.grad_enabled and any(t.requires_grad for t in inputs)
-    out = Tensor(out_data, requires_grad=needs)
-    if needs:
-        out.op = tag
-        out._epoch = _state.epoch
-        _state.tape.append(_Node(tag, inputs, out, backward))
+            backward: Callable[[np.ndarray], Sequence]) -> Tensor:
+    """Wrap ``out_data`` and, when some input needs a gradient, record a node.
+
+    ``backward(g)`` returns one gradient per input, in input order; the entry
+    of an input that needs no gradient is ignored and may be None. The
+    closure must not capture the input tensors, only the arrays and shapes
+    its formulas read."""
+    slots = (tuple((t._node or t) if t.requires_grad else None for t in inputs)
+             if _state.grad_enabled else ())
+    out = Tensor(out_data)
+    if any(s is not None for s in slots):
+        out.requires_grad = True
+        out._node = _Node(tag, backward, slots)
+        _state.tape.append(out._node)
     return out
 
 
-def _owns_grad(t: Tensor) -> bool:
-    """True when ``t.grad`` was allocated by the running backward pass.
+def _accum(slot: Tensor | _Node, g: np.ndarray) -> None:
+    """Add ``g`` into the gradient of ``slot`` (a node, or a leaf tensor).
 
-    Such a buffer is private to the engine and may be written in place. Any
-    other gradient array is stored by reference (it may be another tensor's
+    Only a buffer allocated by the running backward pass (``_grad_epoch`` is
+    the current epoch) is private to the engine and written in place. Any
+    other gradient array is stored by reference (it may be another slot's
     gradient, or a leaf's from an earlier pass) and is never written. The
     epoch advances when a backward ends, so leaves hand their buffers to the
     caller."""
-    return t._grad_epoch == _state.epoch
-
-
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    if t.grad is None:
-        t.grad = g
-    elif _owns_grad(t):
-        t.grad += g
+    if slot.grad is None:
+        slot.grad = g
+    elif slot._grad_epoch == _state.epoch:
+        slot.grad += g
     else:
-        t.grad = t.grad + g
-        t._grad_epoch = _state.epoch
+        slot.grad = slot.grad + g
+        slot._grad_epoch = _state.epoch
 
 
 def backward(loss: Tensor) -> None:
     """Reverse-sweep the tape from ``loss``, populating ``grad`` on leaves.
 
-    Each node's output gradient is released (set to ``None``) right after
-    that node's backward has run: every consumer of the output comes later
-    on the tape, so nothing adds to it again. The array itself lives on only
-    where an input's gradient holds it by reference. Leaves keep their
-    gradients; intermediates end the pass with ``grad`` None.
+    Each node keeps only the arrays its backward reads. Its gradient,
+    closure and slots are released right after its backward has run: every
+    consumer of the output comes later on the tape, so nothing adds to the
+    gradient again. The array itself lives on only where an input's gradient
+    holds it by reference. Leaves keep their gradients; intermediates never
+    carry one. A loss the caller still holds after the pass does not pin the
+    graph, since its node keeps nothing.
 
     The tape is consumed: a second backward on the same graph raises
     :class:`GraphError`, as does a non-scalar or unrecorded loss.
     """
     if loss.data.size != 1:
         raise GraphError(f"backward needs a scalar loss, got shape {loss.shape}")
-    if loss.op is None:
+    if loss._node is None:
         raise GraphError("loss is a leaf tensor; no graph was recorded for it")
     tape = _state.tape
-    if loss._epoch != _state.epoch or not tape:
+    if loss._node.backward is None or not tape:
         raise GraphError("graph already consumed; record a new forward pass first")
 
-    loss.grad = np.ones_like(loss.data)
+    loss._node.grad = np.ones_like(loss.data)
     for node in reversed(tape):
-        g = node.out.grad
+        g, grads_of, slots = node.grad, node.backward, node.slots
+        node.release()
         if g is None:
             continue  # side branch that does not feed the loss
-        node.backward(g)
-        node.out.grad = None
+        for slot, gi in zip(slots, grads_of(g)):
+            if slot is not None:
+                _accum(slot, gi)
     tape.clear()
     _state.epoch += 1
 
@@ -225,23 +258,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if _state.mac_counter is not None:
         _state.mac_counter.macs += math.prod(lead) * n * k * m
 
+    shape_a, shape_b = a.shape, b.shape
+    # Each operand is read only for the other's gradient.
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
     if b.data.ndim == 2:
         out_data = (a.data.reshape(-1, k) @ b.data).reshape(a.shape[:-1] + (m,))
 
-        def bwd(g: np.ndarray) -> None:
+        def bwd(g: np.ndarray) -> tuple:
             g2 = g.reshape(-1, m)
-            if a.requires_grad:
-                _accum(a, (g2 @ b.data.T).reshape(a.shape))
-            if b.requires_grad:
-                _accum(b, a.data.reshape(-1, k).T @ g2)
+            return (None if bd is None else (g2 @ bd.T).reshape(shape_a),
+                    None if ad is None else ad.reshape(-1, k).T @ g2)
     else:
         out_data = np.matmul(a.data, b.data)
 
-        def bwd(g: np.ndarray) -> None:
-            if a.requires_grad:
-                _accum(a, _reduce_to(np.matmul(g, b.data.swapaxes(-1, -2)), a.shape))
-            if b.requires_grad:
-                _accum(b, _reduce_to(np.matmul(a.data.swapaxes(-1, -2), g), b.shape))
+        def bwd(g: np.ndarray) -> tuple:
+            return (None if bd is None else _reduce_to(np.matmul(g, bd.swapaxes(-1, -2)), shape_a),
+                    None if ad is None else _reduce_to(np.matmul(ad.swapaxes(-1, -2), g), shape_b))
 
     return _record("matmul", (a, b), out_data, bwd)
 
@@ -255,11 +288,10 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     np.exp(y, out=y)
     y /= y.sum(axis=axis, keepdims=True)
 
-    def bwd(g: np.ndarray) -> None:
-        if x.requires_grad:
-            gx = g - (g * y).sum(axis=axis, keepdims=True)
-            gx *= y
-            _accum(x, gx)
+    def bwd(g: np.ndarray) -> tuple:
+        gx = g - (g * y).sum(axis=axis, keepdims=True)
+        gx *= y
+        return (gx,)
 
     return _record("softmax", (x,), y, bwd)
 
@@ -355,22 +387,21 @@ def attention(qkv: Tensor, heads: int, sink: list | None = None) -> Tensor:
     if sink is not None:
         sink.append(exps * inv)
 
-    def bwd(g: np.ndarray) -> None:
-        if qkv.requires_grad:
-            gqkv = np.empty(qkv.shape)
-            gpacked = by_head(gqkv)
-            # gi1 = [g·inv | −rowsum(g·inv ⊙ out)], so gi1·[v | 1]ᵀ is gi·vᵀ less the
-            # row-dot term of the softmax gradient in one GEMM.
-            gi1 = np.empty(lead + (n, dh + 1))
-            gi = np.multiply(by_head(g), inv, out=gi1[..., :dh])
-            np.negative((gi * out).sum(axis=-1, keepdims=True), out=gi1[..., dh:])
-            np.matmul(exps.swapaxes(-1, -2), gi, out=gpacked[..., 2 * h:, :, :])
-            ds = np.matmul(gi1, v1.swapaxes(-1, -2))
-            ds *= exps
-            np.matmul(ds, k, out=gpacked[..., :h, :, :])
-            gpacked[..., :h, :, :] *= c
-            np.matmul(ds.swapaxes(-1, -2), q, out=gpacked[..., h:2 * h, :, :])
-            _accum(qkv, gqkv)
+    def bwd(g: np.ndarray) -> tuple:
+        gqkv = np.empty((*batch, n, width))
+        gpacked = by_head(gqkv)
+        # gi1 = [g·inv | −rowsum(g·inv ⊙ out)], so gi1·[v | 1]ᵀ is gi·vᵀ less the
+        # row-dot term of the softmax gradient in one GEMM.
+        gi1 = np.empty(lead + (n, dh + 1))
+        gi = np.multiply(by_head(g), inv, out=gi1[..., :dh])
+        np.negative((gi * out).sum(axis=-1, keepdims=True), out=gi1[..., dh:])
+        np.matmul(exps.swapaxes(-1, -2), gi, out=gpacked[..., 2 * h:, :, :])
+        ds = np.matmul(gi1, v1.swapaxes(-1, -2))
+        ds *= exps
+        np.matmul(ds, k, out=gpacked[..., :h, :, :])
+        gpacked[..., :h, :, :] *= c
+        np.matmul(ds.swapaxes(-1, -2), q, out=gpacked[..., h:2 * h, :, :])
+        return (gqkv,)
 
     return _record("attention", (qkv,), out_data, bwd)
 
@@ -390,17 +421,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tens
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out_data = xhat * gain.data + bias.data
+    gd = gain.data
+    out_data = xhat * gd + bias.data
 
-    def bwd(g: np.ndarray) -> None:
-        if gain.requires_grad:
-            _accum(gain, (g * xhat).reshape(-1, d).sum(axis=0))
-        if bias.requires_grad:
-            _accum(bias, g.reshape(-1, d).sum(axis=0))
-        if x.requires_grad:
-            gx = g * gain.data
-            _accum(x, inv * (gx - gx.mean(axis=-1, keepdims=True)
-                             - xhat * (gx * xhat).mean(axis=-1, keepdims=True)))
+    def bwd(g: np.ndarray) -> tuple:
+        gx = g * gd
+        return (inv * (gx - gx.mean(axis=-1, keepdims=True)
+                       - xhat * (gx * xhat).mean(axis=-1, keepdims=True)),
+                (g * xhat).reshape(-1, d).sum(axis=0),
+                g.reshape(-1, d).sum(axis=0))
 
     return _record("layer_norm", (x, gain, bias), out_data, bwd)
 
@@ -432,38 +461,29 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; operands broadcast as in :func:`_bcast_shape`."""
     _bcast_shape(a.shape, b.shape)
-    out_data = a.data + b.data
-
-    def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accum(a, _reduce_to(g, a.shape))
-        if b.requires_grad:
-            _accum(b, _reduce_to(g, b.shape))
-
-    return _record("add", (a, b), out_data, bwd)
+    shape_a, shape_b = a.shape, b.shape
+    return _record("add", (a, b), a.data + b.data,
+                   lambda g: (_reduce_to(g, shape_a), _reduce_to(g, shape_b)))
 
 
 def hadamard(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product; operands broadcast as in :func:`_bcast_shape`."""
     _bcast_shape(a.shape, b.shape)
-    out_data = a.data * b.data
+    shape_a, shape_b = a.shape, b.shape
+    # Each operand is read only for the other's gradient.
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
 
-    def bwd(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accum(a, _reduce_to(g * b.data, a.shape))
-        if b.requires_grad:
-            _accum(b, _reduce_to(g * a.data, b.shape))
+    def bwd(g: np.ndarray) -> tuple:
+        return (None if bd is None else _reduce_to(g * bd, shape_a),
+                None if ad is None else _reduce_to(g * ad, shape_b))
 
-    return _record("hadamard", (a, b), out_data, bwd)
+    return _record("hadamard", (a, b), a.data * b.data, bwd)
 
 
 def scale(x: Tensor, c: float) -> Tensor:
     """Multiply by a python scalar (not differentiated through)."""
-    def bwd(g: np.ndarray) -> None:
-        if x.requires_grad:
-            _accum(x, g * c)
-
-    return _record("scale", (x,), x.data * c, bwd)
+    return _record("scale", (x,), x.data * c, lambda g: (g * c,))
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -472,19 +492,18 @@ def gelu(x: Tensor) -> Tensor:
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
-    out_data = x.data * cdf
+    xd = x.data
+    out_data = xd * cdf
 
-    def bwd(g: np.ndarray) -> None:
-        if x.requires_grad:
-            xd = x.data
-            slope = xd * xd
-            slope *= -0.5
-            np.exp(slope, out=slope)
-            slope *= _INV_SQRT2PI
-            slope *= xd
-            slope += cdf
-            slope *= g
-            _accum(x, slope)
+    def bwd(g: np.ndarray) -> tuple:
+        slope = xd * xd
+        slope *= -0.5
+        np.exp(slope, out=slope)
+        slope *= _INV_SQRT2PI
+        slope *= xd
+        slope += cdf
+        slope *= g
+        return (slope,)
 
     return _record("gelu", (x,), out_data, bwd)
 
@@ -494,11 +513,7 @@ def sigmoid(x: Tensor) -> Tensor:
     e = np.exp(-np.abs(x.data))
     y = np.where(x.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
-    def bwd(g: np.ndarray) -> None:
-        if x.requires_grad:
-            _accum(x, g * y * (1.0 - y))
-
-    return _record("sigmoid", (x,), y, bwd)
+    return _record("sigmoid", (x,), y, lambda g: (g * y * (1.0 - y),))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -515,13 +530,10 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                              f"{[t.shape for t in tensors]}")
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
     offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
+    lead = (slice(None),) * axis
 
-    def bwd(g: np.ndarray) -> None:
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                idx = [slice(None)] * ndim
-                idx[axis] = slice(lo, hi)
-                _accum(t, g[tuple(idx)])
+    def bwd(g: np.ndarray) -> list:
+        return [g[lead + (slice(lo, hi),)] for lo, hi in zip(offsets[:-1], offsets[1:])]
 
     return _record("concat", tuple(tensors), out_data, bwd)
 
@@ -536,16 +548,12 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     idx[axis] = slice(start, stop)
     idx = tuple(idx)
     out_data = x.data[idx].copy()
+    shape = x.shape
 
-    def bwd(g: np.ndarray) -> None:
-        if x.requires_grad:
-            if x.grad is None:
-                x.grad = np.zeros_like(x.data)
-                x._grad_epoch = _state.epoch
-            elif not _owns_grad(x):
-                x.grad = x.grad.copy()
-                x._grad_epoch = _state.epoch
-            x.grad[idx] += g
+    def bwd(g: np.ndarray) -> tuple:
+        gx = np.zeros(shape)
+        gx[idx] += g
+        return (gx,)
 
     return _record("slice", (x,), out_data, bwd)
 
@@ -554,13 +562,8 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape, dtype=np.int64)) != x.size:
         raise ShapeError(f"cannot reshape {x.shape} (size {x.size}) to {shape}")
-    out_data = x.data.reshape(shape)
-
-    def bwd(g: np.ndarray) -> None:
-        if x.requires_grad:
-            _accum(x, g.reshape(x.shape))
-
-    return _record("reshape", (x,), out_data, bwd)
+    shape_x = x.shape
+    return _record("reshape", (x,), x.data.reshape(shape), lambda g: (g.reshape(shape_x),))
 
 
 def transpose(x: Tensor, axes: Sequence[int] | None = None) -> Tensor:
@@ -569,13 +572,7 @@ def transpose(x: Tensor, axes: Sequence[int] | None = None) -> Tensor:
         axes = tuple(range(x.data.ndim - 2)) + (x.data.ndim - 1, x.data.ndim - 2)
     axes = tuple(axes)
     inv = np.argsort(axes)
-    out_data = x.data.transpose(axes)
-
-    def bwd(g: np.ndarray) -> None:
-        if x.requires_grad:
-            _accum(x, g.transpose(inv))
-
-    return _record("transpose", (x,), out_data, bwd)
+    return _record("transpose", (x,), x.data.transpose(axes), lambda g: (g.transpose(inv),))
 
 
 _bilinear_cache: dict[int, np.ndarray] = {}
@@ -652,10 +649,9 @@ def upsample2x_bilinear(x: Tensor) -> Tensor:
     out_data = _band_apply(_bilinear_bands(h, False), cols.reshape(*lead, h, 2 * w * c))
     out_data = out_data.reshape(*lead, 2 * h, 2 * w, c)
 
-    def bwd(g: np.ndarray) -> None:
-        if x.requires_grad:
-            rows = _band_apply(_bilinear_bands(h, True), g.reshape(*lead, 2 * h, 2 * w * c))
-            _accum(x, _band_apply(_bilinear_bands(w, True), rows.reshape(*lead, h, 2 * w, c)))
+    def bwd(g: np.ndarray) -> tuple:
+        rows = _band_apply(_bilinear_bands(h, True), g.reshape(*lead, 2 * h, 2 * w * c))
+        return (_band_apply(_bilinear_bands(w, True), rows.reshape(*lead, h, 2 * w, c)),)
 
     return _record("upsample2x_bilinear", (x,), out_data, bwd)
 
@@ -672,23 +668,19 @@ def bce(pred: Tensor, target: Tensor) -> Tensor:
     n = p.size
     out_data = np.asarray(-(y * np.log(p) + (1.0 - y) * np.log1p(-p)).sum() / n)
 
-    def bwd(g: np.ndarray) -> None:
+    wants_target = target.requires_grad
+
+    def bwd(g: np.ndarray) -> tuple:
         gs = float(g)
-        if pred.requires_grad:
-            inside = (pred.data > lo) & (pred.data < hi)
-            _accum(pred, gs * inside * (p - y) / (p * (1.0 - p)) / n)
-        if target.requires_grad:
-            _accum(target, gs * (np.log1p(-p) - np.log(p)) / n)
+        inside = (p > lo) & (p < hi)  # the predictions the clip left unchanged
+        return (gs * inside * (p - y) / (p * (1.0 - p)) / n,
+                gs * (np.log1p(-p) - np.log(p)) / n if wants_target else None)
 
     return _record("bce", (pred, target), out_data, bwd)
 
 
 def sum_all(x: Tensor) -> Tensor:
     """Sum of every element, as a scalar tensor."""
-    out_data = np.asarray(x.data.sum())
-
-    def bwd(g: np.ndarray) -> None:
-        if x.requires_grad:
-            _accum(x, np.full_like(x.data, float(g)))
-
-    return _record("sum_all", (x,), out_data, bwd)
+    shape = x.shape
+    return _record("sum_all", (x,), np.asarray(x.data.sum()),
+                   lambda g: (np.full(shape, float(g)),))

@@ -7,6 +7,7 @@ every line.
 """
 
 import csv
+import json
 import time
 
 import numpy as np
@@ -22,10 +23,12 @@ from restr.encoders import ModelConfig, language_encode, vision_encode
 from restr.fusion import (FusionVariant, attention_probe, fuse, init_fusion, profile,
                           project)
 from restr.gradcheck import check_all_ops, check_model_gradients
-from restr.metrics import (cumulative_iou, intersection_union, parse_buckets,
-                           prec_at, predicted_masks, sample_iou)
+from restr.metrics import (cumulative_iou, evaluate_model, intersection_union,
+                           parse_buckets, prec_at, predicted_masks)
 from restr.tensor import Tensor
 from restr.training import TrainConfig, patch_labels, train
+
+from conftest import sample_iou
 
 
 def report(line: str) -> None:
@@ -59,6 +62,18 @@ def overfit_run():
                    stop_at_iou=0.90)
     elapsed = time.time() - t0
     return cfg, params, dataset, result, elapsed
+
+
+@pytest.fixture(scope="module")
+def quality_record(tmp_path_factory):
+    """The slow criteria's results, written as JSON to ``quality.json`` in
+    pytest's base temporary directory (``--basetemp``) when the module ends,
+    passed or failed, so a run can be compared before and after a change."""
+    record: dict = {}
+    yield record
+    if record:
+        path = tmp_path_factory.getbasetemp() / "quality.json"
+        path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
 def test_a1_autodiff_ops_pass_finite_differences():
@@ -162,8 +177,16 @@ def test_a4_shape_and_topology_contracts():
 
 
 @pytest.mark.slow
-def test_a5_overfit_reaches_iou(overfit_run):
+def test_a5_overfit_reaches_iou(overfit_run, quality_record):
     cfg, params, dataset, result, elapsed = overfit_run
+    final = evaluate_model(params, cfg, dataset.samples)
+    quality_record["a5"] = {
+        "iterations_to_0.90": result.stopped_at,  # None: not reached
+        "eval_every": OVERFIT_TRAIN["eval_every"],  # the granularity of that count
+        "wall_minutes": round(elapsed / 60, 2),
+        "cumulative_iou": final.cumulative_iou,
+        "prec_at": {f"{t:.1f}": v for t, v in sorted(final.prec.items())},
+    }
     assert result.final_iou is not None
     assert result.final_iou >= 0.90
     iterations = result.stopped_at or OVERFIT_TRAIN["total_iters"]
@@ -175,7 +198,7 @@ def test_a5_overfit_reaches_iou(overfit_run):
 
 
 @pytest.mark.slow
-def test_a6_expression_sensitivity(overfit_run):
+def test_a6_expression_sensitivity(overfit_run, quality_record):
     cfg, params, dataset, _, _ = overfit_run
     by_image: dict = {}
     for s in dataset.samples:
@@ -193,6 +216,8 @@ def test_a6_expression_sensitivity(overfit_run):
                 cross_ious.append(sample_iou(masks[i], masks[j]))
     mean_cross = float(np.mean(cross_ious))
     mean_own = float(np.mean(own_ious))
+    quality_record["a6"] = {"own_ground_truth_iou": mean_own,
+                            "cross_expression_iou": mean_cross}
     assert mean_cross <= 0.5
     assert mean_own >= 0.8
     report(f"A6 PASS - mean cross-expression IoU {mean_cross:.3f} <= 0.5, "

@@ -13,6 +13,8 @@ from restr.cli import main
 from restr.data import VOCABULARY, generate, load, save
 from restr.training import segmentation_loss
 
+from conftest import read_pgm, read_ppm
+
 
 TRAIN_FLAGS = ["--patch_size", "4", "--dim_vision", "16", "--dim_language", "16",
                "--dim_fusion", "16", "--vision_layers", "1",
@@ -297,10 +299,8 @@ class TestGradcheckCmd:
         def broken_sigmoid(x):
             y = 1.0 / (1.0 + np.exp(-x.data))
 
-            def bwd(g):
-                T._accum(x, g * y * (1.0 - y) * 1.05)  # 5% adjoint corruption
-
-            return T._record("sigmoid", (x,), y, bwd)
+            return T._record("sigmoid", (x,), y,
+                             lambda g: (g * y * (1.0 - y) * 1.05,))  # 5% adjoint corruption
 
         monkeypatch.setattr(T, "sigmoid", broken_sigmoid)
         assert main(["gradcheck", "--scope", "ops"]) == 1
@@ -385,7 +385,6 @@ class TestRenderCmd:
         assert main(["render", "--ckpt", str(trained / "checkpoint.rstr"),
                      "--data", str(dataset_dir), "--ids", "0,1",
                      "--out", str(out)]) == 0
-        from restr.render import read_pgm, read_ppm
         assert read_pgm(out / "0000_mask.pgm").shape == (32, 32)
         assert read_pgm(out / "0001_patch.pgm").shape == (32, 32)
         assert read_ppm(out / "0000_overlay.ppm").shape == (32, 32, 3)

@@ -16,9 +16,9 @@ from restr.decoder import init_model
 from restr.encoders import ModelConfig
 from restr.metrics import (binarize, bucket_by_length, cumulative_iou,
                            evaluate_model, intersection_union, parse_buckets,
-                           predicted_masks, prec_at, sample_iou, EvalReport)
+                           predicted_masks, prec_at, EvalReport)
 
-from conftest import A5, A8
+from conftest import A5, A8, sample_iou
 
 
 def block_mask(h, w, r0, c0, r1, c1):

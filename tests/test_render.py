@@ -8,8 +8,9 @@ from restr.data import generate
 from restr.decoder import init_model
 from restr.encoders import ModelConfig
 from restr.metrics import predicted_masks
-from restr.render import (mask_boundary, patch_grid_image, read_pgm, read_ppm,
-                          render_sample, write_pgm, write_ppm)
+from restr.render import mask_boundary, patch_grid_image, render_sample, write_pgm, write_ppm
+
+from conftest import read_pgm, read_ppm
 
 
 class TestNetpbm:
