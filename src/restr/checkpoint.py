@@ -138,6 +138,8 @@ def load_checkpoint(path) -> tuple[ModelConfig, RestrParams, dict | None]:
         name = r.text("a parameter name")
         ndim = r.u32()
         shape = struct.unpack(f"<{ndim}I", r.take(4 * ndim))
+        if any(name == seen for seen, _ in stored):
+            raise CheckpointError(f"{p}: parameter {name!r} appears twice")
         t = by_name.get(name)
         if t is None:
             raise CheckpointError(f"{p}: unexpected parameter {name!r}")

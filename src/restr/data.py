@@ -393,6 +393,8 @@ def load(data_dir) -> Dataset:
         raise DataFormatError(f"bad index header {lines[0]!r}")
     if int(header[1]) != INDEX_VERSION:
         raise DataFormatError(f"unknown dataset version {header[1]}")
+    if len(lines) == 1:
+        raise DataFormatError(f"index at {index_path} lists no samples")
     try:
         vocab = load_vocab(root / "vocab.txt")
     except (OSError, ValueError) as exc:

@@ -196,19 +196,7 @@ def op_check_suite(seed: int, eps: float = 1e-5, tol: float = 1e-4) -> GradCheck
 
     # Token-major (B, n, 3·h·d_h) q/k/v, as self_attention's qkv matmul gives it.
     heads, n_tok, dh = 2, int(rng.integers(3, 7)), int(rng.integers(2, 4))
-
-    def attention_in_blocks(x: Tensor) -> Tensor:
-        # Two query rows per block, so the blocked path runs at finite-difference sizes.
-        budget = T._ATTENTION_BLOCK_SCORES
-        T._ATTENTION_BLOCK_SCORES = 2 * 2 * heads * n_tok
-        try:
-            return T.attention(x, heads)
-        finally:
-            T._ATTENTION_BLOCK_SCORES = budget
-
     run("attention", lambda x: T.attention(x, heads),
-        [Tensor(rng.standard_normal((2, n_tok, 3 * heads * dh)))])
-    run("attention(multi-block)", attention_in_blocks,
         [Tensor(rng.standard_normal((2, n_tok, 3 * heads * dh)))])
 
     # q shifted by 16 along e_0 with no e_1 part, k by 16 along e_1 with no e_0 part:

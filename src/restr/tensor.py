@@ -50,14 +50,13 @@ class Tensor:
     backward pass deposits into it; an operation's output never carries one.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_node", "_grad_epoch")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._node: _Node | None = None  # the producing node, None for leaves
-        self._grad_epoch = -1  # epoch whose backward allocated ``grad``; see _accum
 
     @property
     def op(self) -> str | None:
@@ -77,9 +76,6 @@ class Tensor:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         tag = f", op={self.op!r}" if self.op else ""
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
@@ -94,7 +90,7 @@ class _Node:
     (None for an input that needs none); ``grad`` accumulates the output
     gradient during the sweep."""
 
-    __slots__ = ("tag", "backward", "slots", "grad", "_grad_epoch")
+    __slots__ = ("tag", "backward", "slots", "grad")
 
     def __init__(self, tag: str, backward: Callable[[np.ndarray], Sequence],
                  slots: tuple):
@@ -102,7 +98,6 @@ class _Node:
         self.backward = backward
         self.slots = slots
         self.grad: np.ndarray | None = None
-        self._grad_epoch = -1
 
     def release(self) -> None:
         """Drop the closure, the slots and the gradient: a consumed node pins
@@ -119,7 +114,6 @@ class _TapeState(threading.local):
     def __init__(self):
         self.grad_enabled = True
         self.tape: list[_Node] = []
-        self.epoch = 0
         self.mac_counter: MacCounter | None = None
 
 
@@ -162,7 +156,6 @@ def reset_graph() -> None:
     for node in _state.tape:
         node.release()
     _state.tape.clear()
-    _state.epoch += 1
 
 
 def _record(tag: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
@@ -186,19 +179,11 @@ def _record(tag: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
 def _accum(slot: Tensor | _Node, g: np.ndarray) -> None:
     """Add ``g`` into the gradient of ``slot`` (a node, or a leaf tensor).
 
-    Only a buffer allocated by the running backward pass (``_grad_epoch`` is
-    the current epoch) is private to the engine and written in place. Any
-    other gradient array is stored by reference (it may be another slot's
-    gradient, or a leaf's from an earlier pass) and is never written. The
-    epoch advances when a backward ends, so leaves hand their buffers to the
-    caller."""
-    if slot.grad is None:
-        slot.grad = g
-    elif slot._grad_epoch == _state.epoch:
-        slot.grad += g
-    else:
-        slot.grad = slot.grad + g
-        slot._grad_epoch = _state.epoch
+    The first gradient is stored by reference, and a later one makes a new
+    array for the sum. So no gradient array is ever written in place: one
+    array may be the gradient of several slots, or a view of another's, and
+    a leaf's gradient from an earlier pass stays as the caller holds it."""
+    slot.grad = g if slot.grad is None else slot.grad + g
 
 
 def backward(loss: Tensor) -> None:
@@ -208,9 +193,11 @@ def backward(loss: Tensor) -> None:
     closure and slots are released right after its backward has run: every
     consumer of the output comes later on the tape, so nothing adds to the
     gradient again. The array itself lives on only where an input's gradient
-    holds it by reference. Leaves keep their gradients; intermediates never
-    carry one. A loss the caller still holds after the pass does not pin the
-    graph, since its node keeps nothing.
+    holds it by reference. No gradient array is ever written in place, so a
+    gradient a caller holds from an earlier pass keeps its values. Leaves
+    keep their gradients; intermediates never carry one. A loss the caller
+    still holds after the pass does not pin the graph, since its node keeps
+    nothing.
 
     The tape is consumed: a second backward on the same graph raises
     :class:`GraphError`, as does a non-scalar or unrecorded loss.
@@ -233,7 +220,6 @@ def backward(loss: Tensor) -> None:
             if slot is not None:
                 _accum(slot, gi)
     tape.clear()
-    _state.epoch += 1
 
 
 # ---------------------------------------------------------------------------
@@ -296,16 +282,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _record("softmax", (x,), y, bwd)
 
 
-# Scores per query block of ``attention``: 8 MiB of float64. The allocator sets
-# this size, not the cache: freeing an mmap'd 8 MiB block raises glibc's dynamic
-# mmap threshold to 8 MiB, which keeps the 480×480 decoder grids that follow on
-# the heap. A 1 MiB block runs a no-grad 921-token attention alone slightly
-# faster (6.8 against 7.1–7.6 ms on a 2-vCPU Xeon, 2 MiB L2 per core), but then
-# each 480×480 sample takes about 1,400 minor faults and 5 ms of system time,
-# against about 120 and 1 ms. The A5 geometry (batch 8, 4 heads, 84 tokens)
-# fits one block.
-_ATTENTION_BLOCK_SCORES = 1 << 20
-
 # Largest score bound at which ``attention`` skips the row-max shift. With
 # |s| ≤ 64 every E entry lies in [e^−64, e^64] (about [1.6e-28, 6.2e27]): none
 # is subnormal, every row sum is at least e^−64, and E·[v | 1] overflows only
@@ -321,25 +297,24 @@ def attention(qkv: Tensor, heads: int, sink: list | None = None) -> Tensor:
     v, the output and the q/k/v gradient are strided (..., h, n, d_h) views
     of these arrays, so no layout op or copy surrounds the op.
 
-    Query rows go in blocks of about ``_ATTENTION_BLOCK_SCORES`` scores: each
-    block's scores are written and exponentiated in place, giving E, and
-    multiplied while still in cache by [v | 1], v with a ones column
-    appended. That one GEMM yields both E·v and the row sums of E, so
-    normalisation happens after the value product: the (..., n, d_h) block
-    output is scaled by 1/rowsum and no pass divides the n×n scores.
+    The scores are written and exponentiated in place, giving E, then
+    multiplied by [v | 1], v with a ones column appended. That one GEMM
+    yields both E·v and the row sums of E, so normalisation happens after
+    the value product: the (..., n, d_h) output is scaled by 1/rowsum and no
+    pass divides the n×n scores. The (..., h, n, n) E is the call's one
+    large array: it and the (..., h, n, 1) factors 1/rowsum are kept for
+    backward when the node is recorded, and dropped on return otherwise.
 
     Softmax does not change when a row is shifted; the shift only keeps
-    ``exp`` finite. So a block subtracts its row maxima only when, for some
-    row, the Cauchy–Schwarz bound |q_i·k_j| ≤ ‖q_i‖·max_j ‖k_j‖ exceeds
+    ``exp`` finite. So the call subtracts the row maxima only when the
+    Cauchy–Schwarz bound |q_i·k_j| ≤ max_i ‖q_i‖·max_j ‖k_j‖ exceeds
     ``_SHIFT_FREE_SCORES`` (τ) or is not a number; the shifted rows then sum
-    to at least 1. In an unshifted block every score lies in [−τ, τ], so
-    every row sum is at least e^−τ and 1/rowsum is finite.
+    to at least 1. Unshifted, every score lies in [−τ, τ], so every row sum
+    is at least e^−τ and 1/rowsum is finite.
 
-    When the node is recorded, the full (..., h, n, n) E and the (..., h, n,
-    1) factors 1/rowsum are kept for backward; otherwise every block reuses
-    one block-sized buffer. ``sink``, when given, receives the row-stochastic
-    probabilities E·(1/rowsum) as one (..., h, n, n) array. The MAC count is
-    the model's 2·n²·d_h per matrix; the ones column is not counted.
+    ``sink``, when given, receives the row-stochastic probabilities
+    E·(1/rowsum) as one (..., h, n, n) array. The MAC count is the model's
+    2·n²·d_h per matrix; the ones column is not counted.
     """
     if (qkv.data.ndim < 2 or heads < 1 or qkv.shape[-2] == 0
             or qkv.shape[-1] % (3 * heads)):
@@ -349,9 +324,8 @@ def attention(qkv: Tensor, heads: int, sink: list | None = None) -> Tensor:
     *batch, n, width = qkv.shape
     dh = width // (3 * h)
     lead = (*batch, h)
-    matrices = math.prod(lead)
     if _state.mac_counter is not None:
-        _state.mac_counter.macs += 2 * matrices * n * n * dh
+        _state.mac_counter.macs += 2 * math.prod(lead) * n * n * dh
 
     def by_head(x: np.ndarray) -> np.ndarray:  # (..., n, m·h·d_h) -> (..., m·h, n, d_h)
         return x.reshape(*batch, n, -1, dh).swapaxes(-3, -2)
@@ -361,29 +335,17 @@ def attention(qkv: Tensor, heads: int, sink: list | None = None) -> Tensor:
     q = packed[..., :h, :, :] * c
     k = packed[..., h:2 * h, :, :]
     v = packed[..., 2 * h:, :, :]
-    kt = k.swapaxes(-1, -2)
     qq, kk = (np.einsum("...d,...d->...", x, x) for x in (q, k))
-    bound = qq * kk.max(axis=-1, keepdims=True)  # ‖q_i‖²·max_j ‖k_j‖²
     v1 = np.concatenate((v, np.ones(lead + (n, 1))), axis=-1)
-    rows = min(n, max(1, _ATTENTION_BLOCK_SCORES // (matrices * n)))
-    keep = sink is not None or (_state.grad_enabled and qkv.requires_grad)
-    exps = np.empty(lead + (n, n)) if keep else None
-    scratch = None if keep else np.empty(lead + (rows, n))
-    inv = np.empty(lead + (n, 1))
-    acc = np.empty(lead + (rows, dh + 1))
+    exps = np.matmul(q, k.swapaxes(-1, -2))
+    if not (qq.max(axis=-1) * kk.max(axis=-1)).max() <= _SHIFT_FREE_SCORES ** 2:
+        exps -= exps.max(axis=-1, keepdims=True)
+    np.exp(exps, out=exps)
+    acc = np.matmul(exps, v1)
+    inv = 1.0 / acc[..., dh:]
     out_data = np.empty((*batch, n, h * dh))
     out = by_head(out_data)
-    for r0 in range(0, n, rows):
-        r1 = min(n, r0 + rows)
-        s = exps[..., r0:r1, :] if keep else scratch[..., :r1 - r0, :]
-        a = acc[..., :r1 - r0, :]
-        np.matmul(q[..., r0:r1, :], kt, out=s)
-        if not bound[..., r0:r1].max() <= _SHIFT_FREE_SCORES ** 2:
-            s -= s.max(axis=-1, keepdims=True)
-        np.exp(s, out=s)
-        np.matmul(s, v1, out=a)
-        np.divide(1.0, a[..., dh:], out=inv[..., r0:r1, :])
-        np.multiply(a[..., :dh], inv[..., r0:r1, :], out=out[..., r0:r1, :])
+    np.multiply(acc[..., :dh], inv, out=out)
     if sink is not None:
         sink.append(exps * inv)
 

@@ -8,7 +8,7 @@ projection. Tokens are (..., n, d): any leading axes are a batch.
 
 Attention itself is one tape op, :func:`restr.tensor.attention`, applied to
 the q/k/v projection as the matmul returns it; its docstring states the
-layout and how it blocks the query rows.
+layout, when the scores are shifted and what backward keeps.
 """
 
 from __future__ import annotations

@@ -207,6 +207,19 @@ class TestCheckpoint:
                            match=re.escape(f"{what} {name!r} holds a non-finite value")):
             load_checkpoint(tmp_path / "m.rstr")
 
+    def test_repeated_parameter_name_rejected(self, tmp_path):
+        # One byte of a name flipped so that blocks.1's name comes twice; this
+        # loaded, with blocks.0.mlp.w1 left at its seed-0 init.
+        cfg = tiny_cfg(vision_layers=2)
+        path = tmp_path / "m.rstr"
+        save_checkpoint(path, cfg, init_model(np.random.default_rng(4), cfg))
+        blob, old = path.read_bytes(), b"vision.stack.blocks.0.mlp.w1"
+        assert blob.count(old) == 1
+        path.write_bytes(blob.replace(old, b"vision.stack.blocks.1.mlp.w1"))
+        with pytest.raises(CheckpointError,
+                           match=re.escape("'vision.stack.blocks.1.mlp.w1' appears twice")):
+            load_checkpoint(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="not found"):
             load_checkpoint(tmp_path / "absent.rstr")

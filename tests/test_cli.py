@@ -1,6 +1,7 @@
 """CLI harness: every subcommand, exit codes, determinism, resume equivalence."""
 
 import csv
+import dataclasses
 import shutil
 
 import numpy as np
@@ -269,6 +270,17 @@ class TestEval:
         (bad / "index.txt").write_text("\n".join(lines) + "\n")
         assert main(["eval", "--ckpt", str(trained / "checkpoint.rstr"),
                      "--data", str(bad)]) == 2
+
+    def test_repeated_parameter_name(self, tmp_path, trained, dataset_dir, capsys):
+        cfg, _, _ = load_checkpoint(trained / "checkpoint.rstr")
+        cfg = dataclasses.replace(cfg, vision_layers=2)
+        bad = tmp_path / "dup.rstr"
+        save_checkpoint(bad, cfg, decoder.init_model(np.random.default_rng(0), cfg))
+        blob, old = bad.read_bytes(), b"vision.stack.blocks.0.mlp.w1"
+        assert blob.count(old) == 1
+        bad.write_bytes(blob.replace(old, b"vision.stack.blocks.1.mlp.w1"))
+        assert main(["eval", "--ckpt", str(bad), "--data", str(dataset_dir)]) == 2
+        assert "'vision.stack.blocks.1.mlp.w1' appears twice" in capsys.readouterr().err
 
     @pytest.mark.parametrize("old,new", [(b"image_h", b"Xmage_h"),
                                          (b"patch_size = 4", b"patch_size = 3"),

@@ -197,6 +197,14 @@ class TestDiskFormat:
         with pytest.raises(DataFormatError):
             load(tmp_path / "nope")
 
+    def test_index_without_samples(self, tmp_path):
+        # loaded as an empty dataset, on which train died with an IndexError
+        save(generate(seed=16, count=2, h=32, w=32), tmp_path / "d")
+        index = tmp_path / "d" / "index.txt"
+        index.write_text(index.read_text().splitlines()[0] + "\n")
+        with pytest.raises(DataFormatError, match="lists no samples"):
+            load(tmp_path / "d")
+
     def test_corrupt_index_line(self, tmp_path):
         ds = generate(seed=16, count=2, h=32, w=32)
         save(ds, tmp_path / "d")

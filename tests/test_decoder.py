@@ -177,7 +177,7 @@ class TestDecoderOrder:
         results = []
         for decode in (decode_pixels, paper_order_decode):
             for t in leaves:
-                t.zero_grad()
+                t.grad = None
             out = decode(z_v, z_m, params, cfg)
             T.backward(T.sum_all(T.hadamard(out, weights)))
             results.append((out.data, [t.grad for t in leaves]))

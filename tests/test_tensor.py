@@ -1,5 +1,6 @@
 """Tensor engine: forward semantics, autodiff, stability, error contracts."""
 
+import contextlib
 import math
 import tracemalloc
 import weakref
@@ -144,7 +145,6 @@ class TestAttention:
     @pytest.mark.parametrize("batch,n,heads,dh", [(8, 84, 4, 16), (8, 21, 4, 16),
                                                   (1, 7, 2, 3), (3, 1, 1, 4)])
     def test_one_block_equals_op_chain(self, batch, n, heads, dh):
-        assert batch * heads * n * n <= T._ATTENTION_BLOCK_SCORES  # one block
         out, grad, _ = attention_and_grad(lambda qkv, h, sink: attention_chain(qkv, h),
                                           0, batch, n, heads, dh)
         fused, fused_grad, _ = attention_and_grad(T.attention, 0, batch, n, heads, dh)
@@ -153,28 +153,22 @@ class TestAttention:
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 3), st.integers(1, 24), st.integers(1, 3), st.integers(1, 5),
-           st.integers(1, 30), st.integers(0, 2**16))
-    def test_blocks_equal_one_block(self, batch, n, heads, dh, rows, seed):
-        whole = attention_and_grad(T.attention, seed, batch, n, heads, dh)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(T, "_ATTENTION_BLOCK_SCORES", rows * batch * heads * n)
-            blocked = attention_and_grad(T.attention, seed, batch, n, heads, dh)
-            with T.no_grad():
-                qkv = packed_qkv(np.random.default_rng(seed), batch, n, heads, dh)
-                scratch_out = T.attention(qkv, heads).data
-                sink = []
-                sink_out = T.attention(qkv, heads, sink).data
-        for actual, desired in zip(blocked, whole):
-            assert_close(np.asarray(actual), np.asarray(desired))
-        assert_close(scratch_out, whole[0])
-        assert_close(sink_out, whole[0])
-        assert_close(sink[0], whole[2][0])
+           st.integers(0, 2**16))
+    def test_no_grad_and_sink_calls_equal_recorded_call(self, batch, n, heads, dh, seed):
+        out, _, recorded_sink = attention_and_grad(T.attention, seed, batch, n, heads, dh)
+        with T.no_grad():
+            qkv = packed_qkv(np.random.default_rng(seed), batch, n, heads, dh)
+            no_grad_out = T.attention(qkv, heads).data
+            sink = []
+            sink_out = T.attention(qkv, heads, sink).data
+        npt.assert_array_equal(no_grad_out, out)
+        npt.assert_array_equal(sink_out, out)
+        npt.assert_array_equal(sink[0], recorded_sink[0])
 
     def test_a8_geometry_equals_op_chain(self):
-        """The eval_r480 shape: 921 tokens, 2 heads of d_h = 8, in the two
-        query blocks of the default budget; recorded and under no_grad."""
+        """The eval_r480 shape: 921 tokens, 2 heads of d_h = 8; recorded and
+        under no_grad."""
         n, heads, dh = 921, 2, 8
-        assert math.ceil(n / (T._ATTENTION_BLOCK_SCORES // (heads * n))) == 2
         out, grad, _ = attention_and_grad(lambda qkv, h, sink: attention_chain(qkv, h),
                                           1, 1, n, heads, dh)
         fused, fused_grad, _ = attention_and_grad(T.attention, 1, 1, n, heads, dh)
@@ -200,24 +194,22 @@ class TestAttention:
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 3), st.integers(1, 24), st.integers(1, 3), st.integers(1, 5),
-           st.integers(1, 30), st.integers(0, 2**16))
-    def test_shifted_equals_unshifted(self, batch, n, heads, dh, rows, seed):
-        """Every block shifted by its row max (τ = 0) against none (τ = ∞)."""
+           st.integers(0, 2**16))
+    def test_shifted_equals_unshifted(self, batch, n, heads, dh, seed):
+        """Every row shifted by its max (τ = 0) against none (τ = ∞)."""
         runs = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(T, "_ATTENTION_BLOCK_SCORES", rows * batch * heads * n)
             for tau in (0.0, math.inf):
                 mp.setattr(T, "_SHIFT_FREE_SCORES", tau)
                 runs.append(attention_and_grad(T.attention, seed, batch, n, heads, dh))
         for actual, desired in zip(*runs):
             assert_close(np.asarray(actual), np.asarray(desired))
 
-    def test_shifted_and_unshifted_blocks_equal_op_chain(self, monkeypatch):
+    def test_overflowing_rows_shift_the_call_and_equal_op_chain(self):
         """The q of query rows 6 and 7 scaled ×1000, so their unshifted exp
-        would overflow: of four blocks of 3 rows, only the third takes the
-        row-max shift."""
-        batch, n, heads, dh, rows = 2, 12, 2, 4, 3
-        monkeypatch.setattr(T, "_ATTENTION_BLOCK_SCORES", rows * batch * heads * n)
+        would overflow: the bound exceeds τ, the whole call takes the row-max
+        shift, and its output and gradient stay finite."""
+        batch, n, heads, dh = 2, 12, 2, 4
         scale = np.ones((n, 3 * heads * dh))
         scale[6:8, :heads * dh] = 1000.0
         qkv = packed_qkv(np.random.default_rng(4), batch, n, heads, dh).data * scale
@@ -225,13 +217,13 @@ class TestAttention:
                 for i in (0, 1))
         bound = (np.linalg.norm(q, axis=-1) / math.sqrt(dh)
                  * np.linalg.norm(k, axis=-1).max(axis=1, keepdims=True))
-        assert [bound[:, r:r + rows].max() > T._SHIFT_FREE_SCORES
-                for r in range(0, n, rows)] == [False, False, True, False]
+        assert bound.max() > T._SHIFT_FREE_SCORES
         scores = np.einsum("bihd,bjhd->bhij", q, k) / math.sqrt(dh)
         assert scores.max() > math.log(np.finfo(float).max)  # exp(scores) overflows
         out, grad, _ = attention_and_grad(lambda qkv, h, sink: attention_chain(qkv, h),
                                           4, batch, n, heads, dh, scale)
         fused, fused_grad, _ = attention_and_grad(T.attention, 4, batch, n, heads, dh, scale)
+        assert np.isfinite(fused).all() and np.isfinite(fused_grad).all()
         assert_close(fused, out)
         assert_close(fused_grad, grad)
 
@@ -247,17 +239,33 @@ class TestAttention:
             out = T.attention(qkv, heads).data
         assert not np.isfinite(out).all()
 
-    @pytest.mark.parametrize("rows", [3, 1000])
     @pytest.mark.parametrize("grad", [True, False])
-    def test_sink_gets_row_stochastic_probs(self, monkeypatch, rows, grad):
+    def test_sink_gets_row_stochastic_probs(self, grad):
         batch, n, heads = 2, 10, 3
-        monkeypatch.setattr(T, "_ATTENTION_BLOCK_SCORES", rows * batch * heads * n)
         qkv = packed_qkv(np.random.default_rng(5), batch, n, heads, 4, grad)
         sink = []
         T.attention(qkv, heads, sink)
         assert sink[0].shape == (batch, heads, n, n)
         assert (sink[0] > 0).all()
         npt.assert_allclose(sink[0].sum(axis=-1), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("grad", [True, False])
+    def test_a8_call_peaks_near_one_score_array(self, grad):
+        """The (h, n, n) scores are the call's one large array, recorded or
+        under no_grad: 13.6 MiB traced against 12.9 MiB for the scores."""
+        n, heads, dh = 921, 2, 8
+        qkv = packed_qkv(np.random.default_rng(2), 1, n, heads, dh)
+        tracemalloc.start()
+        try:
+            with contextlib.nullcontext() if grad else T.no_grad():
+                start = tracemalloc.get_traced_memory()[0]
+                out = T.attention(qkv, heads)
+                peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+            T.reset_graph()
+        assert out.requires_grad == grad
+        assert peak <= 1.1 * heads * n * n * 8, f"{peak / 2**20:.2f} MiB"
 
     def test_macs_closed_form(self):
         batch, n, heads, dh = 3, 11, 2, 5
@@ -602,8 +610,9 @@ class TestTapeMemory:
 
 
 class TestGradBufferPrivacy:
-    """The engine writes in place only into gradient buffers it allocated; an
-    array that two tensors share by reference is never written."""
+    """No gradient array is ever written in place, so an array that two
+    slots share by reference, or that a caller holds from an earlier pass,
+    keeps its values."""
 
     def test_add_same_tensor_twice(self):
         # The outer add hands one array to the inner add and to u; the inner
