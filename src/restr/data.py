@@ -12,7 +12,6 @@ the same integer membership test.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import re
 from dataclasses import dataclass, field
@@ -74,12 +73,6 @@ class Sample:
     expression: str = ""
     target_index: int | None = None
     scene: "Scene | None" = None  # in-memory only; not serialized
-    image_key: str = ""
-
-    def __post_init__(self):
-        if not self.image_key:
-            self.image_key = hashlib.sha1(
-                np.ascontiguousarray(self.image).tobytes()).hexdigest()
 
 
 @dataclass

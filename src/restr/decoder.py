@@ -36,13 +36,10 @@ from .transformer import ConfigError, _weight, _zeros
 
 @dataclass
 class PredictionPair:
-    """Patch-level probabilities and pixel-level logits from one forward pass.
-
-    ``pixel_logits`` is None only when the decoder was explicitly skipped
-    (decoder-ablation runs)."""
+    """Patch-level probabilities and pixel-level logits from one forward pass."""
 
     patch_probs: Tensor  # (B, n_patches, 1), strictly inside (0, 1)
-    pixel_logits: Tensor | None  # (B, H, W, 1), unbounded
+    pixel_logits: Tensor  # (B, H, W, 1), unbounded
 
 
 @dataclass
@@ -138,26 +135,23 @@ def init_model(rng: np.random.Generator, cfg: ModelConfig) -> RestrParams:
 
 
 def encode(images: np.ndarray, token_ids: Sequence[Sequence[int]], params: RestrParams,
-           cfg: ModelConfig, with_pixels: bool = True
-           ) -> tuple[Tensor, Tensor | None, Tensor]:
+           cfg: ModelConfig) -> tuple[Tensor, Tensor, Tensor]:
     """The token stages on a batch of (B, H, W, C) images, one expression
     each: encode both modalities, fuse, classify patches. Returns the
     projected patches, the masked fused patches that ``decode_pixels`` takes
-    beside them (None without pixels) and the patch probabilities."""
+    beside them and the patch probabilities."""
     z_v = vision_encode(images, params.vision, cfg)
     z_l = language_encode(token_ids, params.language, cfg)
     pv, pl = project(z_v, z_l, params.fusion)
     z_v_fused, e_s = fuse(pv, pl, params.fusion)
     patch_probs = patch_predict(z_v_fused, e_s)
-    masked = mask_features(z_v_fused, patch_probs) if with_pixels else None
-    return pv, masked, patch_probs
+    return pv, mask_features(z_v_fused, patch_probs), patch_probs
 
 
 def forward(images: np.ndarray, token_ids: Sequence[Sequence[int]], params: RestrParams,
-            cfg: ModelConfig, with_pixels: bool = True) -> PredictionPair:
+            cfg: ModelConfig) -> PredictionPair:
     """Full pipeline on a batch of (B, H, W, C) images, one expression each:
     the token stages of ``encode``, then ``decode_pixels``."""
-    pv, masked, patch_probs = encode(images, token_ids, params, cfg, with_pixels)
-    pixel_logits = (decode_pixels(pv, masked, params.decoder, cfg) if with_pixels
-                    else None)
-    return PredictionPair(patch_probs=patch_probs, pixel_logits=pixel_logits)
+    pv, masked, patch_probs = encode(images, token_ids, params, cfg)
+    return PredictionPair(patch_probs=patch_probs,
+                          pixel_logits=decode_pixels(pv, masked, params.decoder, cfg))

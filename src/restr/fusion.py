@@ -113,26 +113,25 @@ def _seed_tokens(params: FusionParams, like: Tensor) -> Tensor:
     return T.add(Tensor(np.zeros((*like.shape[:-2], 1, like.shape[-1]))), params.seed)
 
 
-def fuse(z_v: Tensor, z_l: Tensor, params: FusionParams,
-         sink_a: list | None = None, sink_b: list | None = None
-         ) -> tuple[Tensor, Tensor]:
+def fuse(z_v: Tensor, z_l: Tensor, params: FusionParams) -> tuple[Tensor, Tensor]:
     """(patch features, adaptive classifier) for every variant.
 
     ``stack_b`` runs on the tokens the module docstring routes to it; the
-    classifier is the seed, which is always ``stack_b``'s last token. Each
-    sink receives its stack's (..., H, n, n) attention, one array per block.
+    classifier is the seed, which is always ``stack_b``'s last token. Inside
+    :func:`restr.tensor.attention_maps`, each block appends its (..., H, n, n)
+    attention, ``stack_a``'s blocks first.
     """
     n_v, n_l = z_v.shape[-2], z_l.shape[-2]
     vme = params.variant is FusionVariant.VME
     seed = _seed_tokens(params, z_l)
     joint = encoder_stack(T.concat([z_v, z_l, seed] if vme else [z_v, z_l], axis=-2),
-                          params.stack_a, sink_a)
+                          params.stack_a)
     if vme:
-        seeded = encoder_stack(joint, params.stack_b, sink_b)
+        seeded = encoder_stack(joint, params.stack_b)
     else:
         words = (z_l if params.variant is FusionVariant.IME
                  else T.slice_axis(joint, -2, n_v, n_v + n_l))
-        seeded = encoder_stack(T.concat([words, seed], axis=-2), params.stack_b, sink_b)
+        seeded = encoder_stack(T.concat([words, seed], axis=-2), params.stack_b)
     n_b = seeded.shape[-2]
     return (T.slice_axis(seeded if vme else joint, -2, 0, n_v),
             T.slice_axis(seeded, -2, n_b - 1, n_b))
@@ -202,14 +201,13 @@ def attention_probe(params, cfg: "ModelConfig",
             z_v = vision_encode(np.asarray(image)[None], params.vision, cfg)
             z_l = language_encode([ids], params.language, cfg)
             pv, pl = project(z_v, z_l, fp)
-            sink_a: list = []
-            sink_b: list = []
-            fuse(pv, pl, fp, sink_a, sink_b)
+            with T.attention_maps() as maps:
+                fuse(pv, pl, fp)
             n_v, n_l = pv.shape[-2], pl.shape[-2]
             if fp.variant is FusionVariant.VME:
-                shares = [_seed_row_shares(a, n_v, n_l) for a in sink_a + sink_b]
-            else:
-                shares = [_seed_row_shares(a, 0, n_l) for a in sink_b]
+                shares = [_seed_row_shares(a, n_v, n_l) for a in maps]
+            else:  # stack_b's blocks, the second half of the maps
+                shares = [_seed_row_shares(a, 0, n_l) for a in maps[len(maps) // 2:]]
             totals = shares if totals is None else [t + s for t, s in zip(totals, shares)]
             n_samples += 1
     if totals is None:

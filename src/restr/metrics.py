@@ -153,8 +153,7 @@ def _chunk_masks(params, cfg, chunk: Sequence, use_decoder: bool) -> list[np.nda
     sample's logits outlive its binarization."""
     images = (np.asarray(chunk[0].image)[None] if len(chunk) == 1
               else np.stack([np.asarray(s.image) for s in chunk]))
-    pv, masked, probs = decoder.encode(images, [s.token_ids for s in chunk], params,
-                                       cfg, with_pixels=use_decoder)
+    pv, masked, probs = decoder.encode(images, [s.token_ids for s in chunk], params, cfg)
     if not use_decoder:
         return [_patch_mask(p, cfg) for p in probs.data]
     return [binarize(decoder.decode_pixels(T.Tensor(v), T.Tensor(m), params.decoder,
@@ -179,7 +178,6 @@ def predicted_masks(params, cfg, dataset: Sequence,
 
 
 def evaluate_model(params, cfg, dataset: Sequence,
-                   thresholds: Sequence[float] = PREC_THRESHOLDS,
                    buckets: str | Sequence[tuple[int, int]] = DEFAULT_BUCKETS,
                    use_decoder: bool = True) -> EvalReport:
     """Run the model on ``dataset`` and assemble the full report."""
@@ -199,7 +197,7 @@ def evaluate_model(params, cfg, dataset: Sequence,
     return EvalReport(
         cumulative_iou=_iou(sum(i for i, _ in ius), sum(u for _, u in ius)),
         ious=ious,
-        prec={t: prec_at(ious, t) for t in thresholds},
+        prec={t: prec_at(ious, t) for t in PREC_THRESHOLDS},
         length_buckets=bucket_by_length(lengths, ius, buckets),
         n_samples=len(dataset),
         inter_unions=ius,

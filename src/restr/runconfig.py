@@ -47,31 +47,26 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 def _coerce(key: str, value: str, typ):
     try:
-        if typ is int:
-            return int(value)
-        if typ is float:
-            return float(value)
-        if typ is FusionVariant or key == "fusion_variant":
-            return FusionVariant.parse(value)
-        return value
+        return typ(value)
     except ValueError as exc:
         raise UsageError(f"config key {key!r}: cannot parse {value!r} ({exc})") from exc
 
 
 def build_configs(overrides: dict[str, str] | None = None
                   ) -> tuple[ModelConfig, TrainConfig]:
-    """Defaults plus string overrides -> validated (ModelConfig, TrainConfig)."""
+    """Defaults plus string overrides -> validated (ModelConfig, TrainConfig).
+
+    Numbers are parsed here; ``ModelConfig`` parses the fusion variant."""
     overrides = dict(overrides or {})
     model_types = {f.name: f.type for f in dataclasses.fields(ModelConfig)}
     train_types = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
-    type_of = {"int": int, "float": float, "str": str}
+    type_of = {"int": int, "float": float}
 
     model_kwargs: dict = {}
     train_kwargs: dict = {}
     for key, value in overrides.items():
         if key in MODEL_KEYS:
-            typ = type_of.get(model_types[key], FusionVariant if key == "fusion_variant" else str)
-            model_kwargs[key] = _coerce(key, value, typ)
+            model_kwargs[key] = _coerce(key, value, type_of.get(model_types[key], str))
         elif key in TRAIN_KEYS:
             train_kwargs[key] = _coerce(key, value, type_of.get(train_types[key], str))
         else:

@@ -16,6 +16,11 @@ and only leaves keep one. ``backward`` and ``reset_graph`` release every
 node they pass, so a loss or prediction the caller still holds does not pin
 the graph. Values are float64 throughout; the checkpoint layer is the only
 place 32-bit precision appears.
+
+Scoped collectors observe ops without changing them: inside ``with
+count_macs() as counter:`` matmul and attention add their multiply-accumulates
+to ``counter.macs``, and inside ``with attention_maps() as maps:`` each
+attention call appends its row-stochastic (..., h, n, n) probabilities.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import numpy as np
 from scipy.special import erf
 
 BCE_CLAMP = 1e-7
+_LN_EPS = 1e-8
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -115,6 +121,7 @@ class _TapeState(threading.local):
         self.grad_enabled = True
         self.tape: list[_Node] = []
         self.mac_counter: MacCounter | None = None
+        self.maps: list[np.ndarray] | None = None
 
 
 _state = _TapeState()
@@ -129,26 +136,31 @@ class MacCounter:
 
 
 @contextlib.contextmanager
+def _scoped(name: str, value):
+    """Set ``_state.<name>`` to ``value`` in scope and yield ``value``; the
+    previous setting comes back on exit, on an exception too."""
+    prev = getattr(_state, name)
+    setattr(_state, name, value)
+    try:
+        yield value
+    finally:
+        setattr(_state, name, prev)
+
+
 def no_grad():
     """Disable tape recording inside the block (inference / finite differences)."""
-    prev = _state.grad_enabled
-    _state.grad_enabled = False
-    try:
-        yield
-    finally:
-        _state.grad_enabled = prev
+    return _scoped("grad_enabled", False)
 
 
-@contextlib.contextmanager
 def count_macs():
     """Yield a :class:`MacCounter` accumulating the MACs executed in scope."""
-    prev = _state.mac_counter
-    counter = MacCounter()
-    _state.mac_counter = counter
-    try:
-        yield counter
-    finally:
-        _state.mac_counter = prev
+    return _scoped("mac_counter", MacCounter())
+
+
+def attention_maps():
+    """Yield a list that receives the row-stochastic (..., h, n, n)
+    probabilities of every :func:`attention` call in scope, in call order."""
+    return _scoped("maps", [])
 
 
 def reset_graph() -> None:
@@ -289,7 +301,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 _SHIFT_FREE_SCORES = 64.0
 
 
-def attention(qkv: Tensor, heads: int, sink: list | None = None) -> Tensor:
+def attention(qkv: Tensor, heads: int) -> Tensor:
     """Scaled dot-product attention, ``softmax(q kᵀ / sqrt(d_h)) v``, of every
     head at once. The input is token-major (..., n, 3·h·d_h), as ``matmul(z,
     w_qkv) + b_qkv`` returns it, each row [q of heads 0..h-1 | k of heads |
@@ -312,9 +324,9 @@ def attention(qkv: Tensor, heads: int, sink: list | None = None) -> Tensor:
     to at least 1. Unshifted, every score lies in [−τ, τ], so every row sum
     is at least e^−τ and 1/rowsum is finite.
 
-    ``sink``, when given, receives the row-stochastic probabilities
-    E·(1/rowsum) as one (..., h, n, n) array. The MAC count is the model's
-    2·n²·d_h per matrix; the ones column is not counted.
+    Inside :func:`attention_maps`, the call appends the row-stochastic
+    probabilities E·(1/rowsum) as one (..., h, n, n) array. The MAC count is
+    the model's 2·n²·d_h per matrix; the ones column is not counted.
     """
     if (qkv.data.ndim < 2 or heads < 1 or qkv.shape[-2] == 0
             or qkv.shape[-1] % (3 * heads)):
@@ -346,8 +358,8 @@ def attention(qkv: Tensor, heads: int, sink: list | None = None) -> Tensor:
     out_data = np.empty((*batch, n, h * dh))
     out = by_head(out_data)
     np.multiply(acc[..., :dh], inv, out=out)
-    if sink is not None:
-        sink.append(exps * inv)
+    if _state.maps is not None:
+        _state.maps.append(exps * inv)
 
     def bwd(g: np.ndarray) -> tuple:
         gqkv = np.empty((*batch, n, width))
@@ -368,11 +380,12 @@ def attention(qkv: Tensor, heads: int, sink: list | None = None) -> Tensor:
     return _record("attention", (qkv,), out_data, bwd)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then apply affine.
 
-    eps is small enough that unit-variance tokens come out with |var - 1|
-    well under 1e-6, yet still guards the zero-variance (constant token) case.
+    ``_LN_EPS`` is small enough that unit-variance tokens come out with
+    |var - 1| well under 1e-6, yet still guards the zero-variance (constant
+    token) case.
     """
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
@@ -381,7 +394,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tens
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = xc * inv
     gd = gain.data
     out_data = xhat * gd + bias.data

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .decoder import PredictionPair, RestrParams, forward
+from .decoder import PredictionPair, RestrParams, encode, forward
 from .encoders import ModelConfig, patchify
 from .transformer import ConfigError
 
@@ -222,8 +222,7 @@ def batch_indices(iteration: int, n_samples: int, batch_size: int,
 
 
 def train(params: RestrParams, model_cfg: ModelConfig, cfg: TrainConfig,
-          dataset: Sequence, eval_set: Sequence | None = None,
-          stop_at_iou: float | None = None,
+          dataset: Sequence, stop_at_iou: float | None = None,
           stop_after: int | None = None,
           optimizer: AdamW | None = None,
           use_decoder: bool = True,
@@ -235,24 +234,28 @@ def train(params: RestrParams, model_cfg: ModelConfig, cfg: TrainConfig,
     forward graph, and gradients come from one backward pass over the
     batch-mean loss. Passing a resumed optimizer continues from its step count
     with the identical schedule.
-    Periodic evaluation (cumulative IoU on ``eval_set``, default the training
-    set) runs every ``eval_every`` iterations; with ``stop_at_iou`` the loop
-    exits early once reached. ``use_decoder=False`` trains and evaluates from
-    the patch head alone (decoder-ablation mode). ``stop_after`` interrupts
-    once the global iteration count reaches it, without altering the
-    schedule (so a later resume continues the very same run).
+    Periodic evaluation (cumulative IoU on the training set) runs every
+    ``eval_every`` iterations; with ``stop_at_iou``, a threshold in (0, 1]
+    that needs ``eval_every`` > 0, the loop exits early once reached.
+    ``use_decoder=False`` trains and evaluates from the patch head alone
+    (decoder-ablation mode). ``stop_after`` interrupts once the global
+    iteration count reaches it, without altering the schedule (so a later
+    resume continues the very same run).
     """
-    from .metrics import evaluate_model
+    from .metrics import cumulative_iou, predicted_masks
 
     if not dataset:
         raise ValueError("train needs a nonempty dataset")
-    eval_set = dataset if eval_set is None else eval_set
+    if stop_at_iou is not None:
+        if not 0.0 < stop_at_iou <= 1.0:
+            raise ValueError(f"stop_at_iou must lie in (0, 1], got {stop_at_iou}")
+        if not cfg.eval_every:
+            raise ValueError("stop_at_iou needs periodic evaluation; set eval_every > 0")
 
     def eval_iou() -> float:
-        # one bucket over every length, so no expression falls outside it
-        buckets = [(0, max((len(s.token_ids) for s in eval_set), default=0))]
-        return evaluate_model(params, model_cfg, eval_set, buckets=buckets,
-                              use_decoder=use_decoder).cumulative_iou
+        preds = predicted_masks(params, model_cfg, dataset, use_decoder=use_decoder)
+        return cumulative_iou(preds, [np.asarray(s.mask).reshape(p.shape)
+                                      for p, s in zip(preds, dataset)])
 
     opt = optimizer if optimizer is not None else AdamW(params.named_parameters(), cfg)
     labels = {id(s): patch_labels(np.asarray(s.mask), model_cfg.patch_size, cfg.tau)
@@ -269,16 +272,17 @@ def train(params: RestrParams, model_cfg: ModelConfig, cfg: TrainConfig,
                                                    cfg.batch_size, cfg.seed)]
         opt.zero_grad()
         T.reset_graph()
-        pred = forward(np.stack([np.asarray(s.image) for s in batch]),
-                       [s.token_ids for s in batch], params, model_cfg,
-                       with_pixels=use_decoder)
+        images = np.stack([np.asarray(s.image) for s in batch])
+        token_ids = [s.token_ids for s in batch]
         y_p = np.stack([labels[id(s)] for s in batch])
         if use_decoder:
+            pred = forward(images, token_ids, params, model_cfg)
             masks = np.stack([np.asarray(s.mask) for s in batch])
             batch_loss, patch_term, pixel_term = segmentation_loss(pred, y_p, masks, cfg.lam)
             loss_pixel = pixel_term.item()
         else:
-            batch_loss = patch_term = T.bce(pred.patch_probs, Tensor(y_p))
+            _, _, patch_probs = encode(images, token_ids, params, model_cfg)
+            batch_loss = patch_term = T.bce(patch_probs, Tensor(y_p))
             loss_pixel = 0.0
         loss_patch = patch_term.item()
         bad = [f"{name} term is {value}" for name, value

@@ -32,7 +32,6 @@ class TransformerConfig:
     layers: int
     dim: int
     heads: int
-    mlp_hidden: int | None = None
 
     def __post_init__(self):
         if self.layers < 1:
@@ -41,12 +40,14 @@ class TransformerConfig:
             raise ConfigError(f"dim/heads must be positive, got {self.dim}/{self.heads}")
         if self.dim % self.heads:
             raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
-        if self.mlp_hidden is None:
-            self.mlp_hidden = 4 * self.dim
 
     @property
     def head_dim(self) -> int:
         return self.dim // self.heads
+
+    @property
+    def mlp_hidden(self) -> int:
+        return 4 * self.dim
 
 
 def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
@@ -147,39 +148,33 @@ def init_stack(rng: np.random.Generator, cfg: TransformerConfig,
     return StackParams(blocks=blocks, ln_f_gain=_ones(cfg.dim), ln_f_bias=_zeros(cfg.dim))
 
 
-def self_attention(z: Tensor, block: BlockParams,
-                   attn_sink: list | None = None) -> Tensor:
+def self_attention(z: Tensor, block: BlockParams) -> Tensor:
     """Scaled dot-product attention of every head at once: (..., n, d) tokens
     in, the heads' outputs concatenated to (..., n, d) out.
 
     One fused op, :func:`restr.tensor.attention`, computes every head from the
-    token-major q/k/v projection. Appends the row-stochastic (..., H, n, n)
-    attention to ``attn_sink`` when requested.
+    token-major q/k/v projection; inside :func:`restr.tensor.attention_maps`
+    it also yields the row-stochastic (..., H, n, n) attention.
     """
-    return T.attention(T.matmul(z, block.w_qkv) + block.b_qkv, block.heads, attn_sink)
+    return T.attention(T.matmul(z, block.w_qkv) + block.b_qkv, block.heads)
 
 
-def msa(z: Tensor, block: BlockParams, attn_sink: list | None = None) -> Tensor:
+def msa(z: Tensor, block: BlockParams) -> Tensor:
     """Multi-headed self-attention: concatenated heads, one output projection."""
-    return T.matmul(self_attention(z, block, attn_sink), block.w_out)
+    return T.matmul(self_attention(z, block), block.w_out)
 
 
-def transformer_block(z: Tensor, block: BlockParams,
-                      attn_sink: list | None = None) -> Tensor:
-    zb = msa(T.layer_norm(z, block.ln1_gain, block.ln1_bias), block, attn_sink) + z
+def transformer_block(z: Tensor, block: BlockParams) -> Tensor:
+    zb = msa(T.layer_norm(z, block.ln1_gain, block.ln1_bias), block) + z
     hidden = T.gelu(T.matmul(T.layer_norm(zb, block.ln2_gain, block.ln2_bias),
                              block.w_mlp1) + block.b_mlp1)
     return T.matmul(hidden, block.w_mlp2) + block.b_mlp2 + zb
 
 
-def encoder_stack(z: Tensor, params: StackParams,
-                  attn_sink: list | None = None) -> Tensor:
-    """Run every block, then the terminal layer norm.
-
-    With a sink, one (..., H, n, n) attention array is appended per block.
-    """
+def encoder_stack(z: Tensor, params: StackParams) -> Tensor:
+    """Run every block, then the terminal layer norm."""
     for block in params.blocks:
-        z = transformer_block(z, block, attn_sink)
+        z = transformer_block(z, block)
     return T.layer_norm(z, params.ln_f_gain, params.ln_f_bias)
 
 

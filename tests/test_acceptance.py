@@ -127,12 +127,12 @@ def test_a3_equation_oracles():
     # Attention rows and probe segments sum to one.
     cfg = ModelConfig(**{**TINY, "fusion_variant": "vme"})
     params = init_model(np.random.default_rng(4), cfg)
-    sink_a, sink_b = [], []
     rng2 = np.random.default_rng(5)
     pv, pl = project(vision_encode(rng2.uniform(size=(1, 16, 16, 3)), params.vision, cfg),
                      language_encode([[2, 3]], params.language, cfg), params.fusion)
-    fuse(pv, pl, params.fusion, sink_a, sink_b)
-    for attn in sink_a + sink_b:  # one (batch, heads, n, n) array per block
+    with T.attention_maps() as maps:
+        fuse(pv, pl, params.fusion)
+    for attn in maps:  # one (batch, heads, n, n) array per block
         npt.assert_allclose(attn.sum(axis=-1), np.ones(attn.shape[:-1]),
                             atol=1e-6)
     stats = attention_probe(params, cfg,
@@ -166,12 +166,12 @@ def test_a4_shape_and_topology_contracts():
 
     cfg_v = ModelConfig(**{**TINY, "fusion_variant": "vme"})
     vparams = init_fusion(np.random.default_rng(2), cfg_v)
-    sink_a, sink_b = [], []
-    fuse(Tensor(rng.standard_normal((cfg_v.n_patches, cfg_v.dim_fusion))),
-         Tensor(rng.standard_normal((cfg_v.max_tokens, cfg_v.dim_fusion))),
-         vparams, sink_a, sink_b)
+    with T.attention_maps() as maps:
+        fuse(Tensor(rng.standard_normal((cfg_v.n_patches, cfg_v.dim_fusion))),
+             Tensor(rng.standard_normal((cfg_v.max_tokens, cfg_v.dim_fusion))),
+             vparams)
     n = cfg_v.n_patches + cfg_v.max_tokens + 1
-    assert all(attn.shape == (n, n) for heads in sink_a + sink_b for attn in heads)
+    assert all(attn.shape == (n, n) for heads in maps for attn in heads)
     report(f"A4 PASS - P=16 decoder: K=4, chain {chain}; IME seed exactly "
            f"visual-invariant; VME sequence length {n} = N_v+N_l+1")
 
@@ -202,7 +202,7 @@ def test_a6_expression_sensitivity(overfit_run, quality_record):
     cfg, params, dataset, _, _ = overfit_run
     by_image: dict = {}
     for s in dataset.samples:
-        by_image.setdefault(s.image_key, []).append(s)
+        by_image.setdefault(s.image.tobytes(), []).append(s)
     pairs = [group for group in by_image.values() if len(group) >= 2]
     assert pairs, "overfit dataset must carry expression pairs per image"
 

@@ -96,6 +96,28 @@ class TestTrain:
         assert main(["train", "--data", str(dataset_dir),
                      "--out", str(tmp_path / "o"), "--config", str(config)]) == 1
 
+    @pytest.mark.parametrize("value,extra,message", [
+        ("0.9", [], "needs periodic evaluation"),
+        ("nan", ["--eval_every", "1"], "must lie in (0, 1]"),
+        ("1.5", ["--eval_every", "1"], "must lie in (0, 1]")])
+    def test_unreachable_stop_at_iou_rejected(self, tmp_path, dataset_dir, capsys,
+                                              value, extra, message):
+        # each of these used to train to total_iters without stopping or warning
+        assert main(["train", "--data", str(dataset_dir), "--out", str(tmp_path / "o"),
+                     "--quiet", "--total_iters", "4", *TRAIN_FLAGS, *extra,
+                     "--stop-at-iou", value]) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "profile"])
+    def test_unknown_fusion_variant_names_the_valid_ones(self, tmp_path, dataset_dir,
+                                                         capsys, command):
+        io = (["--data", str(dataset_dir), "--out", str(tmp_path / "o")]
+              if command == "train" else [])
+        assert main([command, *io, "--fusion_variant", "bogus"]) == 1
+        err = capsys.readouterr().err
+        assert "unknown fusion variant 'bogus'" in err
+        assert all(f"'{v}'" in err for v in ("vme", "ime", "cme", "cme_shared"))
+
     def test_identical_seeds_identical_logs(self, tmp_path, dataset_dir):
         logs = []
         for name in ("r1", "r2"):
@@ -286,7 +308,8 @@ class TestEval:
                                          (b"patch_size = 4", b"patch_size = 3"),
                                          (b"heads = 2", b"heads = 3"),
                                          (b"image_h = 32", b"image_h = -8"),
-                                         (b"heads = 2", b"heads = 0")])
+                                         (b"heads = 2", b"heads = 0"),
+                                         (b"variant = cme", b"variant = cmx")])
     def test_corrupt_checkpoint_config(self, tmp_path, trained, dataset_dir, old, new):
         blob = (trained / "checkpoint.rstr").read_bytes()
         assert blob.count(old) == 1

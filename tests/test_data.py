@@ -118,7 +118,7 @@ class TestGenerate:
         ds = generate(seed=9, count=16, h=64, w=64)
         by_key: dict = {}
         for s in ds:
-            by_key.setdefault(s.image_key, []).append(s)
+            by_key.setdefault(s.image.tobytes(), []).append(s)
         for group in by_key.values():
             assert len(group) >= 2
             targets = {g.target_index for g in group}
@@ -158,7 +158,6 @@ class TestDiskFormat:
             npt.assert_array_equal(sa.image, sb.image)
             npt.assert_array_equal(sa.mask, sb.mask)
             assert sa.token_ids == sb.token_ids
-            assert sa.image_key == sb.image_key
 
     def test_save_is_byte_stable(self, tmp_path):
         ds = generate(seed=13, count=4, h=32, w=32)

@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 
 import restr.tensor as T
-from restr.decoder import (decode_pixels, decoder_channel_chain, forward,
+from restr.decoder import (decode_pixels, decoder_channel_chain, encode, forward,
                            init_decoder, init_model, mask_features,
                            patch_predict)
 from restr.encoders import ModelConfig
@@ -207,13 +207,15 @@ class TestForward:
         assert pred.pixel_logits.shape == (2, 16, 16, 1)
 
     def test_without_pixels(self):
+        # the token stages alone give forward's patch probabilities
         cfg = tiny_cfg()
         rng = np.random.default_rng(12)
         params = init_model(rng, cfg)
-        pred = forward(rng.uniform(size=(1, 16, 16, 3)), [[2]], params, cfg,
-                       with_pixels=False)
-        assert pred.pixel_logits is None
-        assert pred.patch_probs.shape == (1, cfg.n_patches, 1)
+        image = rng.uniform(size=(1, 16, 16, 3))
+        pv, masked, probs = encode(image, [[2]], params, cfg)
+        assert pv.shape == masked.shape == (1, cfg.n_patches, cfg.dim_fusion)
+        assert probs.shape == (1, cfg.n_patches, 1)
+        npt.assert_array_equal(probs.data, forward(image, [[2]], params, cfg).patch_probs.data)
 
     def test_variant_agnostic(self):
         rng = np.random.default_rng(13)

@@ -118,11 +118,11 @@ class TestVme:
         cfg = make_cfg("vme")
         params = init_fusion(np.random.default_rng(10), cfg)
         z_v, z_l = projected_inputs(cfg)
-        sink_a, sink_b = [], []
-        z_v_out, e_s = fuse(z_v, z_l, params, sink_a, sink_b)
+        with T.attention_maps() as maps:
+            z_v_out, e_s = fuse(z_v, z_l, params)
         assert z_v_out.shape == (16, 16) and e_s.shape == (1, 16)
         n = cfg.n_patches + cfg.max_tokens + 1
-        for heads in sink_a + sink_b:
+        for heads in maps:
             for attn in heads:
                 assert attn.shape == (n, n)
 
@@ -226,16 +226,33 @@ class TestDispatchAndSharing:
 
 
 class TestAttentionProbe:
+    @pytest.mark.parametrize("variant", [v.value for v in FusionVariant])
+    def test_fuse_yields_one_map_per_layer_stack_a_first(self, variant):
+        cfg = make_cfg(variant, fusion_layers=4)
+        params = init_fusion(np.random.default_rng(23), cfg)
+        z_v, z_l = projected_inputs(cfg, seed=24)
+        with T.attention_maps() as maps:
+            fuse(z_v, z_l, params)
+        vme = variant == "vme"
+        with T.attention_maps() as stack_a_maps:
+            encoder_stack(T.concat([z_v, z_l, params.seed] if vme else [z_v, z_l], axis=-2),
+                          params.stack_a)
+        assert len(maps) == cfg.fusion_layers
+        for got, want in zip(maps, stack_a_maps):
+            npt.assert_array_equal(got, want)
+        n_b = cfg.fused_len if vme else cfg.max_tokens + 1
+        assert [m.shape for m in maps[2:]] == [(2, n_b, n_b)] * 2
+
     def test_uniform_attention_fractions(self):
         # Fresh init with tiny weights puts attention logits near zero, so the
         # seed row splits approximately by segment length.
         cfg = make_cfg("vme", n_v_side=6, n_l=4)
         params = init_fusion(np.random.default_rng(17), cfg)
         z_v, z_l = projected_inputs(cfg, seed=18)
-        sink_a, sink_b = [], []
-        fuse(z_v, z_l, params, sink_a, sink_b)
+        with T.attention_maps() as maps:
+            fuse(z_v, z_l, params)
         n_v, n_l = cfg.n_patches, cfg.max_tokens
-        seed_row = sink_a[0][0][n_v + n_l]
+        seed_row = maps[0][0][n_v + n_l]
         expected_v = n_v / (n_v + n_l + 1)
         assert abs(seed_row[:n_v].sum() - expected_v) < 0.05
 

@@ -125,16 +125,16 @@ def attention_chain(qkv, heads):
 
 
 def attention_and_grad(f, seed, batch, n, heads, dh, scale=1.0):
-    """Output, qkv gradient and sink of ``f`` under a fixed output adjoint;
-    ``scale``, a number or an array that broadcasts against (n, 3·heads·dh),
-    multiplies the random q/k/v."""
+    """Output, qkv gradient and attention maps of ``f`` under a fixed output
+    adjoint; ``scale``, a number or an array that broadcasts against
+    (n, 3·heads·dh), multiplies the random q/k/v."""
     rng = np.random.default_rng(seed)
     qkv = packed_qkv(rng, batch, n, heads, dh)
     qkv.data *= scale
-    sink = []
-    out = f(qkv, heads, sink)
+    with T.attention_maps() as maps:
+        out = f(qkv, heads)
     T.backward(T.sum_all(T.hadamard(out, Tensor(rng.standard_normal(out.shape)))))
-    return out.data, qkv.grad, sink
+    return out.data, qkv.grad, maps
 
 
 def assert_close(actual, desired):
@@ -145,8 +145,7 @@ class TestAttention:
     @pytest.mark.parametrize("batch,n,heads,dh", [(8, 84, 4, 16), (8, 21, 4, 16),
                                                   (1, 7, 2, 3), (3, 1, 1, 4)])
     def test_one_block_equals_op_chain(self, batch, n, heads, dh):
-        out, grad, _ = attention_and_grad(lambda qkv, h, sink: attention_chain(qkv, h),
-                                          0, batch, n, heads, dh)
+        out, grad, _ = attention_and_grad(attention_chain, 0, batch, n, heads, dh)
         fused, fused_grad, _ = attention_and_grad(T.attention, 0, batch, n, heads, dh)
         assert_close(fused, out)
         assert_close(fused_grad, grad)
@@ -155,22 +154,21 @@ class TestAttention:
     @given(st.integers(1, 3), st.integers(1, 24), st.integers(1, 3), st.integers(1, 5),
            st.integers(0, 2**16))
     def test_no_grad_and_sink_calls_equal_recorded_call(self, batch, n, heads, dh, seed):
-        out, _, recorded_sink = attention_and_grad(T.attention, seed, batch, n, heads, dh)
+        out, _, recorded_maps = attention_and_grad(T.attention, seed, batch, n, heads, dh)
         with T.no_grad():
             qkv = packed_qkv(np.random.default_rng(seed), batch, n, heads, dh)
             no_grad_out = T.attention(qkv, heads).data
-            sink = []
-            sink_out = T.attention(qkv, heads, sink).data
+            with T.attention_maps() as maps:
+                maps_out = T.attention(qkv, heads).data
         npt.assert_array_equal(no_grad_out, out)
-        npt.assert_array_equal(sink_out, out)
-        npt.assert_array_equal(sink[0], recorded_sink[0])
+        npt.assert_array_equal(maps_out, out)
+        npt.assert_array_equal(maps[0], recorded_maps[0])
 
     def test_a8_geometry_equals_op_chain(self):
         """The eval_r480 shape: 921 tokens, 2 heads of d_h = 8; recorded and
         under no_grad."""
         n, heads, dh = 921, 2, 8
-        out, grad, _ = attention_and_grad(lambda qkv, h, sink: attention_chain(qkv, h),
-                                          1, 1, n, heads, dh)
+        out, grad, _ = attention_and_grad(attention_chain, 1, 1, n, heads, dh)
         fused, fused_grad, _ = attention_and_grad(T.attention, 1, 1, n, heads, dh)
         assert_close(fused, out)
         assert_close(fused_grad, grad)
@@ -184,8 +182,7 @@ class TestAttention:
         packed = rng.standard_normal((batch, n, 3 * heads, dh)).swapaxes(1, 2) * scale
         scores = packed[:, :heads] @ packed[:, heads:2 * heads].swapaxes(-1, -2)
         assert (np.ptp(scores, axis=-1) / math.sqrt(dh)).min() > 1e3
-        out, grad, _ = attention_and_grad(lambda qkv, h, sink: attention_chain(qkv, h),
-                                          9, batch, n, heads, dh, scale)
+        out, grad, _ = attention_and_grad(attention_chain, 9, batch, n, heads, dh, scale)
         fused, fused_grad, _ = attention_and_grad(T.attention, 9, batch, n, heads, dh,
                                                   scale)
         assert np.isfinite(fused).all() and np.isfinite(fused_grad).all()
@@ -220,8 +217,7 @@ class TestAttention:
         assert bound.max() > T._SHIFT_FREE_SCORES
         scores = np.einsum("bihd,bjhd->bhij", q, k) / math.sqrt(dh)
         assert scores.max() > math.log(np.finfo(float).max)  # exp(scores) overflows
-        out, grad, _ = attention_and_grad(lambda qkv, h, sink: attention_chain(qkv, h),
-                                          4, batch, n, heads, dh, scale)
+        out, grad, _ = attention_and_grad(attention_chain, 4, batch, n, heads, dh, scale)
         fused, fused_grad, _ = attention_and_grad(T.attention, 4, batch, n, heads, dh, scale)
         assert np.isfinite(fused).all() and np.isfinite(fused_grad).all()
         assert_close(fused, out)
@@ -243,11 +239,11 @@ class TestAttention:
     def test_sink_gets_row_stochastic_probs(self, grad):
         batch, n, heads = 2, 10, 3
         qkv = packed_qkv(np.random.default_rng(5), batch, n, heads, 4, grad)
-        sink = []
-        T.attention(qkv, heads, sink)
-        assert sink[0].shape == (batch, heads, n, n)
-        assert (sink[0] > 0).all()
-        npt.assert_allclose(sink[0].sum(axis=-1), 1.0, atol=1e-12)
+        with T.attention_maps() as maps:
+            T.attention(qkv, heads)
+        assert maps[0].shape == (batch, heads, n, n)
+        assert (maps[0] > 0).all()
+        npt.assert_allclose(maps[0].sum(axis=-1), 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("grad", [True, False])
     def test_a8_call_peaks_near_one_score_array(self, grad):
@@ -722,6 +718,31 @@ class TestEngineInvariants:
         with T.count_macs() as counter:
             T.add(Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 2))))
         assert counter.macs == 0
+
+    def test_attention_maps_collect_one_array_per_call_in_scope(self):
+        qkv = packed_qkv(np.random.default_rng(30), 2, 5, 2, 3, grad=False)
+        T.attention(qkv, 2)
+        with T.attention_maps() as maps:
+            T.attention(qkv, 2)
+            T.matmul(qkv, Tensor(np.ones((18, 1))))
+            T.attention(T.slice_axis(qkv, -2, 0, 3), 2)
+        T.attention(qkv, 2)
+        assert [m.shape for m in maps] == [(2, 2, 5, 5), (2, 2, 3, 3)]
+        assert T._state.maps is None
+
+    def test_attention_maps_restore_the_outer_collector(self):
+        qkv = packed_qkv(np.random.default_rng(31), 1, 4, 1, 2, grad=False)
+        with T.attention_maps() as outer:
+            with T.attention_maps() as inner:
+                T.attention(qkv, 1)
+            T.attention(qkv, 1)
+            with pytest.raises(RuntimeError, match="abandoned"):
+                with T.attention_maps() as failed:
+                    T.attention(qkv, 1)
+                    raise RuntimeError("abandoned forward")
+            T.attention(qkv, 1)
+        assert (len(inner), len(failed), len(outer)) == (1, 1, 2)
+        assert T._state.maps is None
 
 
 class TestGradCheckOracle:

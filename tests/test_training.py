@@ -285,16 +285,29 @@ class TestTrainLoop:
         # 21 tokens: past max_tokens and past the default report buckets
         cfg, ds = setup
         params = init_model(np.random.default_rng(5), cfg)
-        eval_set = [dataclasses.replace(ds.samples[0], token_ids=[2] * 21),
-                    *ds.samples[1:]]
+        samples = [dataclasses.replace(ds.samples[0], token_ids=[2] * 21),
+                   *ds.samples[1:]]
         tc = TrainConfig(base_lr=1e-4, warmup_iters=1, total_iters=2,
                          batch_size=2, seed=13, eval_every=1)
         with pytest.warns(UserWarning, match="truncated"):
-            res = train(params, cfg, tc, ds.samples, eval_set=eval_set)
-            masks = predicted_masks(params, cfg, eval_set)
+            res = train(params, cfg, tc, samples)
+            masks = predicted_masks(params, cfg, samples)
         assert [r.iteration for r in res.rows if r.eval_iou is not None] == [1, 2]
-        gts = [np.asarray(s.mask)[:, :, 0] for s in eval_set]
+        gts = [np.asarray(s.mask)[:, :, 0] for s in samples]
         assert res.rows[-1].eval_iou == res.final_iou == cumulative_iou(masks, gts)
+
+    @pytest.mark.parametrize("eval_every,stop_at_iou,message", [
+        (0, 0.9, "needs periodic evaluation"), (1, math.nan, "must lie in"),
+        (1, 0.0, "must lie in"), (1, 1.5, "must lie in")])
+    def test_unreachable_stop_at_iou_rejected(self, setup, eval_every, stop_at_iou,
+                                              message):
+        # each of these used to train to total_iters without stopping or warning
+        cfg, ds = setup
+        params = init_model(np.random.default_rng(6), cfg)
+        tc = TrainConfig(warmup_iters=0, total_iters=1, batch_size=2,
+                         eval_every=eval_every)
+        with pytest.raises(ValueError, match=message):
+            train(params, cfg, tc, ds.samples, stop_at_iou=stop_at_iou)
 
 
 class TestTrainLog:

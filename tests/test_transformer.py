@@ -43,26 +43,26 @@ class TestSelfAttention:
     def test_single_token_attention_is_one(self, cfg):
         rng = np.random.default_rng(0)
         block = init_block(rng, cfg)
-        sink = []
-        out = self_attention(rand_tokens(rng, 1, 8), block, attn_sink=sink)
-        npt.assert_allclose(sink[0], np.ones((2, 1, 1)))  # (heads, n, n)
+        with T.attention_maps() as maps:
+            out = self_attention(rand_tokens(rng, 1, 8), block)
+        npt.assert_allclose(maps[0], np.ones((2, 1, 1)))  # (heads, n, n)
         assert out.shape == (1, 8)
 
     def test_identical_tokens_uniform_attention(self, cfg):
         rng = np.random.default_rng(1)
         block = init_block(rng, cfg)
         z = Tensor(np.tile(rng.standard_normal(8), (5, 1)))
-        sink = []
-        self_attention(z, block, attn_sink=sink)
-        npt.assert_allclose(sink[0], np.full((2, 5, 5), 0.2), atol=1e-12)
+        with T.attention_maps() as maps:
+            self_attention(z, block)
+        npt.assert_allclose(maps[0], np.full((2, 5, 5), 0.2), atol=1e-12)
 
     def test_rows_sum_to_one(self):
         cfg = TransformerConfig(layers=1, dim=8, heads=2)
         rng = np.random.default_rng(2)
         block = init_block(rng, cfg)
-        sink = []
-        self_attention(rand_tokens(rng, 5, 8), block, attn_sink=sink)
-        npt.assert_allclose(sink[0].sum(axis=-1), np.ones((2, 5)), atol=1e-9)
+        with T.attention_maps() as maps:
+            self_attention(rand_tokens(rng, 5, 8), block)
+        npt.assert_allclose(maps[0].sum(axis=-1), np.ones((2, 5)), atol=1e-9)
 
     def test_three_tape_nodes(self, cfg):
         rng = np.random.default_rng(20)
@@ -174,10 +174,10 @@ class TestStack:
     def test_attention_rows_sum_to_one_every_layer_and_head(self, cfg):
         rng = np.random.default_rng(17)
         stack = init_stack(rng, cfg)
-        sink = []
-        encoder_stack(rand_tokens(rng, 5, 8), stack, attn_sink=sink)
-        assert len(sink) == 2 and all(len(heads) == 2 for heads in sink)
-        for heads in sink:
+        with T.attention_maps() as maps:
+            encoder_stack(rand_tokens(rng, 5, 8), stack)
+        assert len(maps) == 2 and all(len(heads) == 2 for heads in maps)
+        for heads in maps:
             for attn in heads:
                 npt.assert_allclose(attn.sum(axis=-1), np.ones(5), atol=1e-9)
 
