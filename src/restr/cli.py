@@ -31,7 +31,7 @@ from .metrics import DEFAULT_BUCKETS, evaluate_model
 from .render import render_sample
 from .runconfig import (ALL_KEYS, MODEL_KEYS, UsageError, build_configs, load_config_file,
                         parse_config_text, serialize_model_config)
-from .training import AdamW, NonFiniteLossError, TrainConfig, train
+from .training import AdamW, NonFiniteLossError, TrainConfig, check_stop_at_iou, train
 from .transformer import ConfigError
 
 LAMBDA_GRID = (0.01, 0.05, 0.1, 0.5, 1.0)
@@ -162,9 +162,6 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     dataset = dsmod.load(args.data)
     overrides = _collect_overrides(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     if args.resume:
         model_cfg, params, opt_state = load_checkpoint(args.resume)
         train_cfg = _resume_train_config(model_cfg, overrides, dataset)
@@ -175,6 +172,9 @@ def cmd_train(args) -> int:
         model_cfg, train_cfg = _configs_for_dataset(overrides, dataset)
         params = init_model(np.random.default_rng(train_cfg.seed), model_cfg)
         optimizer = AdamW(params.named_parameters(), train_cfg)
+    check_stop_at_iou(args.stop_at_iou, train_cfg)
+    out = Path(args.out)  # made only once the input is accepted
+    out.mkdir(parents=True, exist_ok=True)
 
     def report(row):
         if not args.quiet:

@@ -67,9 +67,9 @@ class Scene:
 
 @dataclass
 class Sample:
-    image: np.ndarray  # (H, W, 3) in [0, 1]
+    image: np.ndarray  # (H, W, 3) float32 in [0, 1], as the .img format stores it
     token_ids: list[int]
-    mask: np.ndarray  # (H, W, 1) binary
+    mask: np.ndarray  # (H, W, 1) uint8 in {0, 1}, as the .msk format stores it
     expression: str = ""
     target_index: int | None = None
     scene: "Scene | None" = None  # in-memory only; not serialized
@@ -108,7 +108,7 @@ def rasterize_object(obj: SceneObject, h: int, w: int) -> np.ndarray:
 
 
 def render_scene(scene: Scene) -> np.ndarray:
-    image = np.zeros((scene.h, scene.w, 3))
+    image = np.zeros((scene.h, scene.w, 3), dtype=np.float32)
     for obj in scene.objects:
         image[rasterize_object(obj, scene.h, scene.w)] = COLORS[obj.color]
     return image
@@ -313,7 +313,7 @@ def generate(seed: int, count: int, h: int, w: int,
             else:
                 expr = relational[int(rng.integers(len(relational)))]
             relation_count += int(any(r in expr.split() for r in RELATIONS))
-            mask = rasterize_object(scene.objects[ti], h, w).astype(float)[:, :, None]
+            mask = rasterize_object(scene.objects[ti], h, w).astype(np.uint8)[:, :, None]
             samples.append(Sample(
                 image=image,
                 token_ids=tokenize(expr, vocab),
@@ -369,7 +369,12 @@ def save(dataset: Dataset, out_dir) -> None:
 
 
 def load(data_dir) -> Dataset:
-    """Inverse of :func:`save`; fails loudly on corrupt or unknown data."""
+    """Inverse of :func:`save`; fails loudly on corrupt or unknown data.
+
+    Samples keep the stored types, 13 bytes per pixel: writable float32
+    (H, W, 3) images and uint8 (H, W, 1) masks. A batch becomes float64 where
+    it enters the tape (:func:`restr.encoders.patchify`, the loss target).
+    """
     root = Path(data_dir)
     index_path = root / "index.txt"
     if not index_path.is_file():
@@ -421,13 +426,13 @@ def load(data_dir) -> Dataset:
         if len(msk_bytes) != h * w:
             raise DataFormatError(
                 f"sample {sid}: mask file has {len(msk_bytes)} bytes, expected {h * w}")
-        image = np.frombuffer(img_bytes, dtype="<f4").astype(np.float64).reshape(h, w, 3)
+        image = np.frombuffer(img_bytes, dtype="<f4").astype(np.float32).reshape(h, w, 3)
         if not np.isfinite(image).all():
             raise DataFormatError(f"sample {sid}: image has non-finite pixels")
         mask_flat = np.frombuffer(msk_bytes, dtype=np.uint8)
         if not np.isin(mask_flat, (0, 1)).all():
             raise DataFormatError(f"sample {sid}: mask bytes outside {{0, 1}}")
-        mask = mask_flat.astype(np.float64).reshape(h, w, 1)
+        mask = mask_flat.reshape(h, w, 1).copy()
         expr = " ".join(vocab[t] for t in token_ids if t != PAD_ID)
         samples.append(Sample(image=image, token_ids=token_ids, mask=mask,
                               expression=expr))

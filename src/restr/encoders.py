@@ -75,7 +75,8 @@ class ModelConfig:
         if self.max_tokens < 1:
             raise ConfigError(f"max_tokens must be >= 1, got {self.max_tokens}")
         if self.vocab_size < 3:
-            raise ConfigError(f"vocab_size must cover PAD, UNK and at least one token")
+            raise ConfigError("vocab_size must cover PAD, UNK and at least one token, "
+                              f"got {self.vocab_size}")
 
     @property
     def patch_grid(self) -> tuple[int, int]:
@@ -109,8 +110,9 @@ class ModelConfig:
 
 
 def patchify(image: np.ndarray, patch_size: int) -> np.ndarray:
-    """(..., H, W, C) -> (..., N, P*P*C): row-major patch grid, row-major
-    inside a patch; leading axes are a batch."""
+    """(..., H, W, C) -> (..., N, P*P*C) float64: row-major patch grid,
+    row-major inside a patch; leading axes are a batch. The one copy that
+    regroups the pixels also widens float32 images and uint8 masks."""
     *lead, h, w, c = image.shape
     p = patch_size
     if h % p or w % p:
@@ -118,7 +120,7 @@ def patchify(image: np.ndarray, patch_size: int) -> np.ndarray:
     b = len(lead)
     grid = image.reshape(*lead, h // p, p, w // p, p, c)
     grid = grid.transpose(*range(b), b, b + 2, b + 1, b + 3, b + 4)
-    return np.ascontiguousarray(grid.reshape(*lead, h // p * (w // p), p * p * c))
+    return grid.astype(np.float64, order="C").reshape(*lead, h // p * (w // p), p * p * c)
 
 
 @dataclass

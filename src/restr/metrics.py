@@ -190,8 +190,7 @@ def evaluate_model(params, cfg, dataset: Sequence,
     for length in lengths:  # fail before the forward, not after it
         _bucket_of(length, buckets)
     preds = predicted_masks(params, cfg, dataset, use_decoder=use_decoder)
-    gts = [np.asarray(s.mask).reshape(p.shape).astype(np.uint8)
-           for p, s in zip(preds, dataset)]
+    gts = [np.asarray(s.mask).reshape(p.shape) for p, s in zip(preds, dataset)]
     ius = [intersection_union(p, g) for p, g in zip(preds, gts)]
     ious = [_iou(i, u) for i, u in ius]
     return EvalReport(

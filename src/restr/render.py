@@ -69,7 +69,8 @@ def render_sample(params, cfg, sample, out_dir, sample_id: int) -> dict[str, Pat
     write_pgm(paths["mask"], mask * 255)
     write_pgm(paths["patch"], patch_grid_image(pred.patch_probs.data[0],
                                                cfg.patch_grid, cfg.patch_size))
-    overlay = np.clip(np.rint(np.asarray(sample.image) * 255.0), 0, 255).astype(np.uint8)
+    overlay = np.rint(np.asarray(sample.image, dtype=np.float64) * 255.0)
+    overlay = np.clip(overlay, 0, 255).astype(np.uint8)
     overlay[mask_boundary(mask)] = OVERLAY_COLOR
     write_ppm(paths["overlay"], overlay)
     return paths

@@ -14,8 +14,9 @@ consumes, is freed as soon as the forward drops it. Intermediates never
 carry ``.grad``: their gradients accumulate on their nodes during the sweep,
 and only leaves keep one. ``backward`` and ``reset_graph`` release every
 node they pass, so a loss or prediction the caller still holds does not pin
-the graph. Values are float64 throughout; the checkpoint layer is the only
-place 32-bit precision appears.
+the graph. Values are float64 throughout. Data enters as float32 pixels
+and uint8 masks, widened when a batch becomes a tensor; checkpoints store
+float32 blobs.
 
 Scoped collectors observe ops without changing them: inside ``with
 count_macs() as counter:`` matmul and attention add their multiply-accumulates
@@ -306,8 +307,9 @@ def attention(qkv: Tensor, heads: int) -> Tensor:
     head at once. The input is token-major (..., n, 3·h·d_h), as ``matmul(z,
     w_qkv) + b_qkv`` returns it, each row [q of heads 0..h-1 | k of heads |
     v of heads]; the output is (..., n, h·d_h), the heads side by side. q, k,
-    v, the output and the q/k/v gradient are strided (..., h, n, d_h) views
-    of these arrays, so no layout op or copy surrounds the op.
+    v, the output and the q/k/v gradient are (..., h, n, d_h) per-head
+    layouts of these arrays, so no layout op surrounds the op. A recorded
+    node keeps copies of q, k and [v | 1], never the input itself.
 
     The scores are written and exponentiated in place, giving E, then
     multiplied by [v | 1], v with a ones column appended. That one GEMM
@@ -360,6 +362,8 @@ def attention(qkv: Tensor, heads: int) -> Tensor:
     np.multiply(acc[..., :dh], inv, out=out)
     if _state.maps is not None:
         _state.maps.append(exps * inv)
+    if _state.grad_enabled and qkv.requires_grad:
+        k = k.copy()  # backward reads k; a view would keep all of qkv alive
 
     def bwd(g: np.ndarray) -> tuple:
         gqkv = np.empty((*batch, n, width))

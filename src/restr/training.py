@@ -93,6 +93,7 @@ def segmentation_loss(pred: PredictionPair, y_p: np.ndarray, mask: np.ndarray,
 
     ``y_p`` has the shape of ``pred.patch_probs`` and ``mask`` the size of
     ``pred.pixel_logits``; each term is the mean over its batch's elements.
+    A uint8 mask batch becomes float64 only in the BCE target tensor.
     """
     patch_term = T.bce(pred.patch_probs, Tensor(y_p))
     pixel_term = T.bce(T.sigmoid(pred.pixel_logits),
@@ -221,6 +222,16 @@ def batch_indices(iteration: int, n_samples: int, batch_size: int,
     return order[slot * batch_size:(slot + 1) * batch_size]
 
 
+def check_stop_at_iou(stop_at_iou: float | None, cfg: TrainConfig) -> None:
+    """Raise ValueError unless :func:`train` can stop at ``stop_at_iou``."""
+    if stop_at_iou is None:
+        return
+    if not 0.0 < stop_at_iou <= 1.0:
+        raise ValueError(f"stop_at_iou must lie in (0, 1], got {stop_at_iou}")
+    if not cfg.eval_every:
+        raise ValueError("stop_at_iou needs periodic evaluation; set eval_every > 0")
+
+
 def train(params: RestrParams, model_cfg: ModelConfig, cfg: TrainConfig,
           dataset: Sequence, stop_at_iou: float | None = None,
           stop_after: int | None = None,
@@ -246,11 +257,7 @@ def train(params: RestrParams, model_cfg: ModelConfig, cfg: TrainConfig,
 
     if not dataset:
         raise ValueError("train needs a nonempty dataset")
-    if stop_at_iou is not None:
-        if not 0.0 < stop_at_iou <= 1.0:
-            raise ValueError(f"stop_at_iou must lie in (0, 1], got {stop_at_iou}")
-        if not cfg.eval_every:
-            raise ValueError("stop_at_iou needs periodic evaluation; set eval_every > 0")
+    check_stop_at_iou(stop_at_iou, cfg)
 
     def eval_iou() -> float:
         preds = predicted_masks(params, model_cfg, dataset, use_decoder=use_decoder)

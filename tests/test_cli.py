@@ -107,6 +107,7 @@ class TestTrain:
                      "--quiet", "--total_iters", "4", *TRAIN_FLAGS, *extra,
                      "--stop-at-iou", value]) == 1
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()  # rejected input leaves no --out
 
     @pytest.mark.parametrize("command", ["train", "profile"])
     def test_unknown_fusion_variant_names_the_valid_ones(self, tmp_path, dataset_dir,
@@ -117,6 +118,16 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "unknown fusion variant 'bogus'" in err
         assert all(f"'{v}'" in err for v in ("vme", "ime", "cme", "cme_shared"))
+        assert not (tmp_path / "o").exists()
+
+    def test_existing_out_directory_is_reused(self, tmp_path, dataset_dir):
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+        assert main(["train", "--data", str(dataset_dir), "--out", str(out),
+                     "--quiet", "--total_iters", "2", *TRAIN_FLAGS]) == 0
+        assert (out / "notes.txt").read_text() == "kept\n"
+        assert (out / "checkpoint.rstr").is_file()
 
     def test_identical_seeds_identical_logs(self, tmp_path, dataset_dir):
         logs = []

@@ -6,10 +6,15 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import restr.tensor as T
 from restr.data import (AmbiguityError, DataFormatError, GenerationError,
                         RELATIONS, Scene, SceneObject, VOCABULARY, generate,
                         length_histogram, load, rasterize_object, resolve, save)
-from restr.encoders import PAD_ID
+from restr.decoder import forward, init_model
+from restr.encoders import PAD_ID, ModelConfig
+from restr.training import patch_labels, segmentation_loss
+
+from conftest import A5, A8
 
 
 def brute_force_pixels(obj, h, w):
@@ -267,3 +272,59 @@ class TestDiskFormat:
         save(ds, tmp_path / "d")
         lines = (tmp_path / "d" / "vocab.txt").read_text().splitlines()
         assert lines == VOCABULARY
+
+
+class TestStoredPrecision:
+    """Samples hold float32 pixels and uint8 masks, as the files store them;
+    a batch becomes float64 only where it enters the tape, which is exact."""
+
+    @staticmethod
+    def _loaded(tmp_path, count, size):
+        save(generate(seed=21, count=count, h=size, w=size), tmp_path / "d")
+        return load(tmp_path / "d").samples
+
+    def test_load_and_generate_return_stored_dtypes(self, tmp_path):
+        generated = generate(seed=21, count=4, h=32, w=32).samples
+        for s in generated + self._loaded(tmp_path, 4, 32):
+            assert s.image.dtype == np.float32 and s.image.shape == (32, 32, 3)
+            assert s.mask.dtype == np.uint8 and s.mask.shape == (32, 32, 1)
+            assert s.image.flags.writeable and s.mask.flags.writeable
+
+    def test_loaded_sample_takes_13_bytes_per_pixel(self, tmp_path):
+        s = self._loaded(tmp_path, 2, 48)[0]
+        assert s.image.nbytes + s.mask.nbytes == 13 * 48 * 48
+
+    @staticmethod
+    def _a5_step(params, cfg, images, masks, token_ids):
+        y_p = np.stack([patch_labels(m, cfg.patch_size, 0.8) for m in masks])
+        T.reset_graph()
+        for _, t, _ in params.named_parameters():
+            t.grad = None
+        pred = forward(images, token_ids, params, cfg)
+        total, _, _ = segmentation_loss(pred, y_p, masks, lam=0.1)
+        T.backward(total)
+        return ([pred.pixel_logits.data, total.data]
+                + [t.grad for _, t, _ in params.named_parameters()])
+
+    def test_a5_step_equals_float64_batch(self, tmp_path):
+        cfg = ModelConfig(vocab_size=len(VOCABULARY), **A5)
+        params = init_model(np.random.default_rng(0), cfg)
+        batch = self._loaded(tmp_path, 4, 64)
+        images = np.stack([s.image for s in batch])
+        masks = np.stack([s.mask for s in batch])
+        ids = [s.token_ids for s in batch]
+        stored = self._a5_step(params, cfg, images, masks, ids)
+        wide = self._a5_step(params, cfg, images.astype(np.float64),
+                             masks.astype(np.float64), ids)
+        assert len(stored) == len(wide) > 2
+        for got, want in zip(stored, wide):
+            assert got.tobytes() == want.tobytes()
+
+    def test_a8_no_grad_logits_equal_float64_batch(self, tmp_path):
+        cfg = ModelConfig(vocab_size=len(VOCABULARY), **A8)
+        params = init_model(np.random.default_rng(0), cfg)
+        s = self._loaded(tmp_path, 2, 480)[0]
+        with T.no_grad():
+            stored, wide = (forward(image[None], [s.token_ids], params, cfg).pixel_logits.data
+                            for image in (s.image, s.image.astype(np.float64)))
+        assert stored.tobytes() == wide.tobytes()

@@ -64,6 +64,10 @@ class TestModelConfig:
         with pytest.raises(ConfigError, match=field):
             ModelConfig(**{field: value})
 
+    def test_small_vocab_rejected_with_its_size(self):
+        with pytest.raises(ConfigError, match="at least one token, got 2"):
+            ModelConfig(vocab_size=2)
+
     def test_variant_parsed_from_string(self):
         from restr.fusion import FusionVariant
         cfg = ModelConfig(fusion_variant="ime")

@@ -1,5 +1,7 @@
 """PGM/PPM writers, boundary overlay, and render/eval consistency."""
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -89,3 +91,18 @@ class TestRenderSample:
         assert patch_img.shape == (32, 32)  # x patch_size upscale
         overlay = read_ppm(paths["overlay"])
         assert overlay.shape == (32, 32, 3)
+
+    def test_float32_image_renders_as_its_float64_cast(self, tmp_path,
+                                                       trained_free_setup):
+        # (k + 0.5) / 255 rounded to float32: for about half of these, v * 255
+        # taken in float32 rounds to the other neighbour, so the overlay must
+        # scale in float64 to write the bytes a float64 image gives.
+        cfg, params, ds = trained_free_setup
+        halves = ((np.arange(255) + 0.5) / 255).astype(np.float32)
+        image = np.resize(halves, (32, 32, 3))
+        assert (np.rint(image * np.float32(255)) != np.rint(image.astype(float) * 255)).any()
+        files = [render_sample(params, cfg, dataclasses.replace(ds[0], image=img),
+                               tmp_path / name, 0)
+                 for name, img in (("f32", image), ("f64", image.astype(np.float64)))]
+        for key in files[0]:
+            assert files[0][key].read_bytes() == files[1][key].read_bytes(), key

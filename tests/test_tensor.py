@@ -584,9 +584,32 @@ class TestTapeMemory:
         release(loss)
         assert ref() is None and loss.op == "sum_all"
 
+    def test_attention_does_not_pin_its_input(self):
+        # backward reads copies of q, k and [v | 1], never the packed projection
+        def run(hold):
+            rng = np.random.default_rng(36)
+            x, w, b = (tensor(rng.standard_normal(shape))
+                       for shape in ((2, 5, 12), (12, 12), (1, 12)))
+            qkv = T.matmul(x, w) + b  # the add allocates the array it returns
+            ref = weakref.ref(qkv.data)
+            loss = T.sum_all(T.attention(qkv, 2))
+            held = qkv if hold else None
+            del qkv
+            alive = ref() is not None
+            T.backward(loss)
+            del held
+            return alive, [x.grad, w.grad, b.grad]
+
+        dropped_alive, dropped = run(hold=False)
+        held_alive, held = run(hold=True)
+        assert not dropped_alive and held_alive
+        for got, want in zip(dropped, held):
+            npt.assert_array_equal(got, want)
+
     def test_a5_forward_keeps_under_60_mb(self):
-        # Batch-8 A5 forward plus loss: 54.7 MB stay live with the slots on the
-        # nodes, 75.6 MB when every node held its input and output tensors.
+        # Batch-8 A5 forward plus loss: 53.0 MB stay live with the slots on the
+        # nodes and attention keeping a copy of k rather than all of qkv (55.0
+        # MB with the view), 75.6 MB when every node held its input and output.
         cfg = ModelConfig(vocab_size=len(VOCABULARY), **A5)
         params = init_model(np.random.default_rng(0), cfg)
         samples = generate(5, 8, 64, 64).samples
