@@ -3,11 +3,16 @@ exact masks, and the on-disk dataset format.
 
 Scenes hold 2-4 disjoint colored shapes on a black canvas. Every scene emits
 two samples with different target objects, so each image carries at least one
-pair of expressions referring to different regions. Expressions come from a
-small template grammar; spatial relations are evaluated on object centers
-(left means strictly smaller center column, above means strictly smaller
-center row). Rasterization is aliasing-free: image pixels and mask pixels are
-the same integer membership test.
+pair of expressions referring to different regions. An expression follows the
+grammar
+
+    [the] [color] shape [(left of | right of | above | below) [the] [color] shape]
+
+and denotes the one object it fits; the generator keeps exactly the templates
+that :func:`resolve` maps to their target. Spatial relations are evaluated on
+object centers (left means strictly smaller center column, above means
+strictly smaller center row). Rasterization is aliasing-free: image pixels
+and mask pixels are the same integer membership test.
 """
 
 from __future__ import annotations
@@ -34,6 +39,17 @@ MIN_RELATION_FRACTION = 0.3
 INDEX_MAGIC = "RSTRDS"
 INDEX_VERSION = 1
 _DECIMAL = re.compile(r"-?[0-9]+")  # index fields; str.isdigit also accepts "²"
+
+# Each relation phrase, and whether it holds for a target against its anchor;
+# strict, so no object relates to itself.
+_RELATION_TESTS = {
+    "left of": lambda t, a: t.cx < a.cx,
+    "right of": lambda t, a: t.cx > a.cx,
+    "above": lambda t, a: t.cy < a.cy,
+    "below": lambda t, a: t.cy > a.cy,
+}
+_DESCRIPTOR = rf"(?:the )?(?:({'|'.join(COLORS)}) )?({'|'.join(SHAPES)})"
+_EXPRESSION = re.compile(rf"{_DESCRIPTOR}(?: ({'|'.join(_RELATION_TESTS)}) {_DESCRIPTOR})?")
 
 
 class GenerationError(RuntimeError):
@@ -92,7 +108,7 @@ class Dataset:
 
 def rasterize_object(obj: SceneObject, h: int, w: int) -> np.ndarray:
     """Boolean membership mask of one object on an h*w canvas."""
-    yy, xx = np.mgrid[0:h, 0:w]
+    yy, xx = np.ogrid[0:h, 0:w]
     dx = xx - obj.cx
     dy = yy - obj.cy
     s = obj.size
@@ -114,128 +130,54 @@ def render_scene(scene: Scene) -> np.ndarray:
     return image
 
 
-def _relation_holds(target: SceneObject, relation: str, anchor: SceneObject) -> bool:
-    if relation == "left":
-        return target.cx < anchor.cx
-    if relation == "right":
-        return target.cx > anchor.cx
-    if relation == "above":
-        return target.cy < anchor.cy
-    if relation == "below":
-        return target.cy > anchor.cy
-    raise ValueError(f"unknown relation {relation!r}")
+def _objects_matching(scene: Scene, shape: str, color: str | None) -> list[int]:
+    return [i for i, o in enumerate(scene.objects)
+            if o.shape == shape and color in (None, o.color)]
 
 
-def _match(objects: Sequence[SceneObject], shape: str,
-           color: str | None) -> list[int]:
-    return [i for i, o in enumerate(objects)
-            if o.shape == shape and (color is None or o.color == color)]
-
-
-def _parse_expression(tokens: list[str]):
-    """Grammar: [the] [color] shape [relation [of] the [color] shape]."""
-    toks = list(tokens)
-
-    def descriptor():
-        nonlocal toks
-        color = None
-        if toks and toks[0] == "the":
-            toks = toks[1:]
-        if toks and toks[0] in COLORS:
-            color = toks[0]
-            toks = toks[1:]
-        if not toks or toks[0] not in SHAPES:
-            raise AmbiguityError(f"expected a shape word, got {toks[:1]}")
-        shape = toks[0]
-        toks = toks[1:]
-        return shape, color
-
-    shape, color = descriptor()
-    relation = None
-    anchor = None
-    if toks:
-        if toks[0] not in RELATIONS:
-            raise AmbiguityError(f"expected a relation word, got {toks[0]!r}")
-        relation = toks[0]
-        toks = toks[1:]
-        if relation in ("left", "right"):
-            if not toks or toks[0] != "of":
-                raise AmbiguityError(f"relation {relation!r} must be followed by 'of'")
-            toks = toks[1:]
-        anchor = descriptor()
-    if toks:
-        raise AmbiguityError(f"trailing tokens {toks} in expression")
-    return shape, color, relation, anchor
-
-
-def resolve(scene: Scene, expression: str | Sequence[str]) -> int:
+def resolve(scene: Scene, expression: str) -> int:
     """Index of the unique object the expression denotes, else AmbiguityError."""
-    tokens = expression.split() if isinstance(expression, str) else list(expression)
-    shape, color, relation, anchor = _parse_expression(tokens)
-    candidates = _match(scene.objects, shape, color)
+    text = " ".join(expression.split())
+    m = _EXPRESSION.fullmatch(text)
+    if m is None:
+        raise AmbiguityError(f"expression {text!r} is not in the grammar")
+    color, shape, relation, a_color, a_shape = m.groups()
+    candidates = _objects_matching(scene, shape, color)
     if relation is not None:
-        a_shape, a_color = anchor
-        anchors = _match(scene.objects, a_shape, a_color)
+        anchors = _objects_matching(scene, a_shape, a_color)
         if len(anchors) != 1:
             raise AmbiguityError(
                 f"anchor '{a_color or ''} {a_shape}' matches {len(anchors)} objects")
-        ref = scene.objects[anchors[0]]
+        holds = _RELATION_TESTS[relation]
         candidates = [i for i in candidates
-                      if i != anchors[0]
-                      and _relation_holds(scene.objects[i], relation, ref)]
+                      if holds(scene.objects[i], scene.objects[anchors[0]])]
     if len(candidates) != 1:
-        raise AmbiguityError(f"expression {' '.join(tokens)!r} matches "
-                             f"{len(candidates)} objects")
+        raise AmbiguityError(f"expression {text!r} matches {len(candidates)} objects")
     return candidates[0]
 
 
-# ---------------------------------------------------------------------------
-# expression construction
-# ---------------------------------------------------------------------------
-
-def _descriptor_words(obj: SceneObject, with_color: bool) -> list[str]:
-    return [obj.color, obj.shape] if with_color else [obj.shape]
-
-
-def _relation_words(relation: str) -> list[str]:
-    return [relation, "of"] if relation in ("left", "right") else [relation]
+def _denotes(scene: Scene, expression: str, index: int) -> bool:
+    try:
+        return resolve(scene, expression) == index
+    except AmbiguityError:
+        return False
 
 
 def _candidate_expressions(scene: Scene,
                            target_idx: int) -> tuple[list[str], list[str]]:
-    """All valid expressions for the target, split into (plain, relational)."""
-    objs = scene.objects
-    target = objs[target_idx]
-    plain: list[str] = []
-    if len(_match(objs, target.shape, None)) == 1:
-        plain.append(target.shape)
-    if len(_match(objs, target.shape, target.color)) == 1:
-        plain.append(f"{target.color} {target.shape}")
-        plain.append(f"the {target.color} {target.shape}")
+    """Every template that resolves to the target, split into (plain, relational)."""
+    target = scene.objects[target_idx]
 
-    relational: list[str] = []
-    for anchor_idx, anchor in enumerate(objs):
-        if anchor_idx == target_idx:
-            continue
-        anchor_forms = []
-        if len(_match(objs, anchor.shape, None)) == 1:
-            anchor_forms.append(_descriptor_words(anchor, with_color=False))
-        if len(_match(objs, anchor.shape, anchor.color)) == 1:
-            anchor_forms.append(_descriptor_words(anchor, with_color=True))
-        for relation in RELATIONS:
-            if not _relation_holds(target, relation, anchor):
-                continue
-            for t_color in (False, True):
-                for a_words in anchor_forms:
-                    words = (_descriptor_words(target, t_color)
-                             + _relation_words(relation) + ["the"] + a_words)
-                    expr = " ".join(words)
-                    try:
-                        if resolve(scene, expr) == target_idx:
-                            relational.append(expr)
-                    except AmbiguityError:
-                        continue
-    return plain, relational
+    def descriptors(obj: SceneObject) -> tuple[str, str]:
+        return obj.shape, f"{obj.color} {obj.shape}"
+
+    plain = [*descriptors(target), f"the {target.color} {target.shape}"]
+    relational = [f"{t} {relation} the {a}"
+                  for anchor in scene.objects if anchor is not target
+                  for relation in _RELATION_TESTS
+                  for t in descriptors(target) for a in descriptors(anchor)]
+    return ([e for e in plain if _denotes(scene, e, target_idx)],
+            [e for e in relational if _denotes(scene, e, target_idx)])
 
 
 def _sample_scene(rng: np.random.Generator, h: int, w: int) -> Scene | None:

@@ -554,22 +554,16 @@ def transpose(x: Tensor, axes: Sequence[int] | None = None) -> Tensor:
     return _record("transpose", (x,), x.data.transpose(axes), lambda g: (g.transpose(inv),))
 
 
-_bilinear_cache: dict[int, np.ndarray] = {}
-
-
 def _bilinear_matrix(n: int) -> np.ndarray:
     """(2n x n) row-interpolation matrix; output centers at (i+0.5)/2 - 0.5,
     edges clamped. Each row is convex, so values stay in the input hull."""
-    mat = _bilinear_cache.get(n)
-    if mat is None:
-        mat = np.zeros((2 * n, n))
-        coords = np.clip((np.arange(2 * n) + 0.5) / 2.0 - 0.5, 0.0, n - 1.0)
-        lo = np.floor(coords).astype(int)
-        hi = np.minimum(lo + 1, n - 1)
-        frac = coords - lo
-        mat[np.arange(2 * n), lo] += 1.0 - frac
-        mat[np.arange(2 * n), hi] += frac
-        _bilinear_cache[n] = mat
+    mat = np.zeros((2 * n, n))
+    coords = np.clip((np.arange(2 * n) + 0.5) / 2.0 - 0.5, 0.0, n - 1.0)
+    lo = np.floor(coords).astype(int)
+    hi = np.minimum(lo + 1, n - 1)
+    frac = coords - lo
+    mat[np.arange(2 * n), lo] += 1.0 - frac
+    mat[np.arange(2 * n), hi] += frac
     return mat
 
 

@@ -26,7 +26,8 @@ from .transformer import ConfigError
 
 
 class NonFiniteLossError(RuntimeError):
-    """A loss term came out NaN or infinite; training stops before the step."""
+    """A loss term or a gradient came out NaN or infinite; training stops
+    before the step writes any parameter or optimizer state."""
 
 
 @dataclass
@@ -129,17 +130,22 @@ class AdamW:
             t.grad = None
 
     def step(self, lr: float) -> float:
-        """One update; returns the global L2 norm of the gradients it used."""
+        """One update; returns the global L2 norm of the gradients it used.
+        A non-finite norm raises NonFiniteLossError before anything is written."""
         cfg = self.cfg
+        sq_norms = [0.0 if t.grad is None else float(np.vdot(t.grad, t.grad))
+                    for _, t, _ in self.params]
+        sq_norm = sum(sq_norms)
+        if not math.isfinite(sq_norm):
+            bad = next((name for (name, _, _), sq in zip(self.params, sq_norms)
+                        if not math.isfinite(sq)), "global norm overflow")
+            raise NonFiniteLossError(f"non-finite gradient at iteration "
+                                     f"{self.step_count + 1}: {bad}")
         self.step_count += 1
         bc1 = 1.0 - cfg.beta1 ** self.step_count
         bc2 = 1.0 - cfg.beta2 ** self.step_count
-        sq_norm = 0.0
-        for (name, t, decay), m, v in zip(self.params, self.m, self.v):
-            g = t.grad
-            if g is None:
-                g = np.zeros_like(t.data)
-            sq_norm += float(np.vdot(g, g))
+        for (_, t, decay), m, v in zip(self.params, self.m, self.v):
+            g = np.zeros_like(t.data) if t.grad is None else t.grad
             if decay and cfg.weight_decay:
                 t.data *= 1.0 - lr * cfg.weight_decay
             m *= cfg.beta1

@@ -214,6 +214,19 @@ class TestTrain:
                      "--quiet", "--total_iters", "4", *TRAIN_FLAGS]) == 2
         assert "iteration 1: pixel term is nan" in capsys.readouterr().err
 
+    def test_nan_gradient_stops_training(self, tmp_path, dataset_dir, capsys, monkeypatch):
+        real_step = training.AdamW.step
+
+        def poisoned_step(self, lr):  # a backward that left a NaN behind
+            {n: t for n, t, _ in self.params}["decoder.final.w"].grad[0, 0] = np.nan
+            return real_step(self, lr)
+
+        monkeypatch.setattr(training.AdamW, "step", poisoned_step)
+        assert main(["train", "--data", str(dataset_dir), "--out", str(tmp_path / "o"),
+                     "--quiet", "--total_iters", "4", *TRAIN_FLAGS]) == 2
+        assert ("non-finite gradient at iteration 1: decoder.final.w"
+                in capsys.readouterr().err)
+
 
     @pytest.mark.parametrize("flag,value", [
         ("log_every", "0"), ("base_lr", "nan"), ("lam", "nan"), ("adam_eps", "0"),

@@ -358,6 +358,30 @@ class TestNonFiniteLoss:
         for n, t in named.items():  # the failed iteration stepped no weight
             npt.assert_array_equal(t.data, before[n])
 
+    def test_nan_gradient_stops_before_any_write(self, setup):
+        # with a finite loss, AdamW used to apply it and the run died one
+        # iteration later, blaming the loss
+        cfg, _ = setup
+        params = init_model(np.random.default_rng(6), cfg)
+        opt = AdamW(params.named_parameters(), TrainConfig())
+        rng = np.random.default_rng(7)
+        for _ in range(2):
+            for _, t, _ in params.named_parameters():
+                t.grad = rng.standard_normal(t.data.shape)
+            opt.step(1e-3)
+        named = {n: t for n, t, _ in params.named_parameters()}
+        named["decoder.final.w"].grad[0, 0] = np.nan
+        before = ([t.data.copy() for t in named.values()],
+                  [m.copy() for m in opt.m], [v.copy() for v in opt.v])
+        with pytest.raises(NonFiniteLossError,
+                           match="non-finite gradient at iteration 3: decoder.final.w"):
+            opt.step(1e-3)
+        assert opt.step_count == 2
+        after = ([t.data for t in named.values()], opt.m, opt.v)
+        for want, got in zip(before, after):
+            for a, b in zip(want, got):
+                npt.assert_array_equal(b, a)
+
 
 class TestBatchInvariance:
     """One graph over a batch is the same math as one graph per sample."""
