@@ -48,7 +48,7 @@ def save_checkpoint(path, cfg: ModelConfig, params: RestrParams,
     chunks = [MAGIC, struct.pack("<I", VERSION),
               struct.pack("<I", len(cfg_text)), cfg_text,
               struct.pack("<I", len(named))]
-    for name, t, _ in named:
+    for name, t in named:
         encoded = name.encode("utf-8")
         chunks.append(struct.pack("<I", len(encoded)))
         chunks.append(encoded)
@@ -132,7 +132,7 @@ def load_checkpoint(path) -> tuple[ModelConfig, RestrParams, dict | None]:
     if n_params != len(named):
         raise CheckpointError(f"{p} holds {n_params} parameters, "
                               f"config implies {len(named)}")
-    by_name = {name: t for name, t, _ in named}
+    by_name = dict(named)
     stored: list[tuple[str, tuple[int, ...]]] = []
     for _ in range(n_params):
         name = r.text("a parameter name")

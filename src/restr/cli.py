@@ -127,20 +127,28 @@ def _configs_for_dataset(overrides: dict[str, str],
     return build_configs(overrides)
 
 
+def _check_dataset_fits(ckpt_cfg: ModelConfig, dataset: dsmod.Dataset) -> None:
+    """Raise UsageError unless the keys that ``_configs_for_dataset`` takes
+    from a dataset (vocabulary and image size) match the checkpoint's."""
+    h, w = dataset.samples[0].image.shape[:2]
+    for key, value in (("vocab_size", len(dataset.vocab)), ("image_h", h), ("image_w", w)):
+        if value != getattr(ckpt_cfg, key):
+            raise UsageError(f"dataset {key} {value} does not match the checkpoint's "
+                             f"{key} {getattr(ckpt_cfg, key)}")
+
+
 def _resume_train_config(ckpt_cfg: ModelConfig, overrides: dict[str, str],
                          dataset: dsmod.Dataset) -> TrainConfig:
     """The train config of a resumed run. The checkpoint fixes the model:
-    a model-key override, or the dataset's vocabulary or image size, that
-    differs from it is a usage error naming the key."""
+    a dataset it does not fit, or a model-key override that differs from it,
+    is a usage error naming the key."""
+    _check_dataset_fits(ckpt_cfg, dataset)
     have = parse_config_text(serialize_model_config(ckpt_cfg))
-    base = {key: value for key, value in have.items()
-            if key not in ("vocab_size", "image_h", "image_w")}
-    requested, train_cfg = _configs_for_dataset({**base, **overrides}, dataset)
+    requested, train_cfg = _configs_for_dataset({**have, **overrides}, dataset)
     want = parse_config_text(serialize_model_config(requested))
     for key in MODEL_KEYS:
         if want[key] != have[key]:
-            source = f"--{key}" if key in overrides else f"dataset {key}"
-            raise UsageError(f"{source} {want[key]} does not match the checkpoint's "
+            raise UsageError(f"--{key} {want[key]} does not match the checkpoint's "
                              f"{key} {have[key]}")
     return train_cfg
 
@@ -148,6 +156,8 @@ def _resume_train_config(ckpt_cfg: ModelConfig, overrides: dict[str, str],
 def cmd_gen(args) -> int:
     if args.count < 1:
         raise UsageError(f"--count must be >= 1, got {args.count}")
+    if args.size < dsmod.MIN_CANVAS:
+        raise UsageError(f"--size must be >= {dsmod.MIN_CANVAS}, got {args.size}")
     dataset = dsmod.generate(seed=args.seed, count=args.count,
                              h=args.size, w=args.size)
     dsmod.save(dataset, args.out)
@@ -199,6 +209,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model_cfg, params, _ = load_checkpoint(args.ckpt)
     dataset = dsmod.load(args.data)
+    _check_dataset_fits(model_cfg, dataset)
     report = evaluate_model(params, model_cfg, dataset.samples, buckets=args.buckets)
     print(report.text_table())
     if args.out:
@@ -288,15 +299,17 @@ def cmd_profile(args) -> int:
 def cmd_render(args) -> int:
     model_cfg, params, _ = load_checkpoint(args.ckpt)
     dataset = dsmod.load(args.data)
+    _check_dataset_fits(model_cfg, dataset)
     try:
         ids = [int(part) for part in args.ids.split(",") if part.strip()]
     except ValueError as exc:
         raise UsageError(f"--ids must be comma-separated integers: {exc}") from exc
     if not ids:
         raise UsageError("--ids selected no samples")
-    for sid in ids:
+    for sid in ids:  # all checked before the first render writes a file
         if not 0 <= sid < len(dataset):
             raise UsageError(f"sample id {sid} outside dataset of {len(dataset)}")
+    for sid in ids:
         paths = render_sample(params, model_cfg, dataset[sid], args.out, sid)
         print(f"sample {sid}: " + ", ".join(str(p) for p in paths.values()))
     return 0

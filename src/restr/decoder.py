@@ -31,7 +31,7 @@ from .tensor import Tensor
 from .encoders import (LanguageParams, ModelConfig, VisionParams, init_language,
                        init_vision, language_encode, vision_encode)
 from .fusion import FusionParams, fuse, init_fusion, project
-from .transformer import ConfigError, _weight, _zeros
+from .transformer import ConfigError, Linear, Params, _weight, _zeros
 
 
 @dataclass
@@ -43,19 +43,9 @@ class PredictionPair:
 
 
 @dataclass
-class DecoderParams:
-    blocks: list[tuple[Tensor, Tensor]]  # per block: channel-halving (w, b)
-    w_final: Tensor
-    b_final: Tensor
-
-    def named_parameters(self):
-        out = []
-        for i, (w, b) in enumerate(self.blocks):
-            out.append((f"blocks.{i}.w", w, True))
-            out.append((f"blocks.{i}.b", b, False))
-        out.append(("final.w", self.w_final, True))
-        out.append(("final.b", self.b_final, False))
-        return out
+class DecoderParams(Params):
+    blocks: list[Linear]  # channel-halving, one per block
+    final: Linear
 
 
 def decoder_channel_chain(cfg: ModelConfig) -> list[int]:
@@ -68,11 +58,10 @@ def decoder_channel_chain(cfg: ModelConfig) -> list[int]:
 
 def init_decoder(rng: np.random.Generator, cfg: ModelConfig) -> DecoderParams:
     chain = decoder_channel_chain(cfg)
-    blocks = [(_weight(rng, (c_in, c_in // 2)), _zeros((1, c_in // 2)))
+    blocks = [Linear(w=_weight(rng, (c_in, c_in // 2)), b=_zeros((1, c_in // 2)))
               for c_in in chain[:-1]]
     return DecoderParams(blocks=blocks,
-                         w_final=_weight(rng, (chain[-1], 1)),
-                         b_final=_zeros((1, 1)))
+                         final=Linear(w=_weight(rng, (chain[-1], 1)), b=_zeros((1, 1))))
 
 
 def patch_predict(z_v: Tensor, e_s: Tensor) -> Tensor:
@@ -105,26 +94,19 @@ def decode_pixels(z_v: Tensor, z_masked: Tensor, params: DecoderParams,
     gh, gw = cfg.patch_grid
     x = T.concat([z_v, z_masked], axis=-1)
     grid = T.reshape(x, (*z_v.shape[:-2], gh, gw, 2 * cfg.dim_fusion))
-    for w, b in params.blocks:
-        grid = T.gelu(T.upsample2x_bilinear(T.matmul(grid, w) + b))
-    return T.matmul(grid, params.w_final) + params.b_final
+    for blk in params.blocks:
+        grid = T.gelu(T.upsample2x_bilinear(T.matmul(grid, blk.w) + blk.b))
+    return T.matmul(grid, params.final.w) + params.final.b
 
 
 @dataclass
-class RestrParams:
+class RestrParams(Params):
     """Every trainable parameter of the network, grouped by stage."""
 
     vision: VisionParams
     language: LanguageParams
     fusion: FusionParams
     decoder: DecoderParams
-
-    def named_parameters(self) -> list[tuple[str, Tensor, bool]]:
-        out = []
-        for prefix, group in (("vision", self.vision), ("language", self.language),
-                              ("fusion", self.fusion), ("decoder", self.decoder)):
-            out.extend((f"{prefix}.{n}", t, d) for n, t, d in group.named_parameters())
-        return out
 
 
 def init_model(rng: np.random.Generator, cfg: ModelConfig) -> RestrParams:

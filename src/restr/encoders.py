@@ -18,8 +18,8 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .transformer import (ConfigError, StackParams, TransformerConfig, _weight,
-                          _zeros, encoder_stack, init_stack, trunc_normal)
+from .transformer import (ConfigError, Linear, Params, StackParams, TransformerConfig,
+                          _weight, _zeros, encoder_stack, init_stack, trunc_normal)
 from .fusion import FusionVariant
 
 PAD_ID = 0
@@ -124,35 +124,23 @@ def patchify(image: np.ndarray, patch_size: int) -> np.ndarray:
 
 
 @dataclass
-class VisionParams:
-    w_patch: Tensor
-    b_patch: Tensor
+class VisionParams(Params):
+    patch: Linear
     pos: Tensor  # learned positional table, one row per patch
     stack: StackParams
 
-    def named_parameters(self):
-        out = [("patch.w", self.w_patch, True), ("patch.b", self.b_patch, False),
-               ("pos", self.pos, False)]
-        out.extend((f"stack.{n}", t, d) for n, t, d in self.stack.named_parameters())
-        return out
-
 
 @dataclass
-class LanguageParams:
+class LanguageParams(Params):
     embed: Tensor
     stack: StackParams
     pos_table: np.ndarray = field(repr=False)  # sinusoidal, constant
 
-    def named_parameters(self):
-        out = [("embed", self.embed, True)]
-        out.extend((f"stack.{n}", t, d) for n, t, d in self.stack.named_parameters())
-        return out
-
 
 def init_vision(rng: np.random.Generator, cfg: ModelConfig) -> VisionParams:
     return VisionParams(
-        w_patch=_weight(rng, (cfg.patch_dim, cfg.dim_vision)),
-        b_patch=_zeros((1, cfg.dim_vision)),
+        patch=Linear(w=_weight(rng, (cfg.patch_dim, cfg.dim_vision)),
+                     b=_zeros((1, cfg.dim_vision))),
         pos=Tensor(trunc_normal(rng, (cfg.n_patches, cfg.dim_vision)), requires_grad=True),
         stack=init_stack(rng, cfg.vision_tfm()),
     )
@@ -176,7 +164,7 @@ def vision_encode(images: np.ndarray, params: VisionParams, cfg: ModelConfig) ->
     if not ((images >= 0.0) & (images <= 1.0)).all():  # NaN fails both comparisons
         raise ValueError("image values must lie in [0, 1]")
     patches = Tensor(patchify(images, cfg.patch_size))
-    emb = T.matmul(patches, params.w_patch) + params.b_patch
+    emb = T.matmul(patches, params.patch.w) + params.patch.b
     return encoder_stack(emb + params.pos, params.stack)
 
 
@@ -213,7 +201,7 @@ def language_encode(token_ids: Sequence[Sequence[int]], params: LanguageParams,
     other token.
     """
     ids = np.array([pad_token_ids(seq, cfg) for seq in token_ids], dtype=np.int64)
-    onehot = np.eye(cfg.vocab_size)[ids]
+    onehot = (ids[..., None] == np.arange(cfg.vocab_size)).astype(np.float64)
     emb = T.matmul(Tensor(onehot), params.embed)
     return encoder_stack(emb + Tensor(params.pos_table), params.stack)
 

@@ -30,8 +30,8 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .transformer import (ConfigError, StackParams, _weight, _zeros, _ones,
-                          block_mac_count, block_param_count, encoder_stack,
+from .transformer import (ConfigError, Norm, Params, StackParams, _norm, _weight,
+                          _zeros, block_mac_count, block_param_count, encoder_stack,
                           init_stack, trunc_normal)
 
 if TYPE_CHECKING:
@@ -55,47 +55,36 @@ class FusionVariant(enum.Enum):
 
 
 @dataclass
-class FusionParams:
+class Projection(Params):
+    """Layer norm, then the linear map to the fusion width."""
+
+    ln: Norm
+    w: Tensor
+    b: Tensor
+
+
+@dataclass
+class FusionParams(Params):
     """Seed embedding, per-modality projectors, and the two sub-encoders."""
 
     variant: FusionVariant
     seed: Tensor
-    ln_v_gain: Tensor
-    ln_v_bias: Tensor
-    w_v: Tensor
-    b_v: Tensor
-    ln_l_gain: Tensor
-    ln_l_bias: Tensor
-    w_l: Tensor
-    b_l: Tensor
+    proj_v: Projection
+    proj_l: Projection
     stack_a: StackParams  # visual-linguistic sub-encoder (VME: first half)
     stack_b: StackParams  # linguistic-seed sub-encoder (VME: second half)
-
-    def named_parameters(self):
-        out = [("seed", self.seed, False),
-               ("proj_v.ln.gain", self.ln_v_gain, False),
-               ("proj_v.ln.bias", self.ln_v_bias, False),
-               ("proj_v.w", self.w_v, True), ("proj_v.b", self.b_v, False),
-               ("proj_l.ln.gain", self.ln_l_gain, False),
-               ("proj_l.ln.bias", self.ln_l_bias, False),
-               ("proj_l.w", self.w_l, True), ("proj_l.b", self.b_l, False)]
-        out.extend((f"stack_a.{n}", t, d) for n, t, d in self.stack_a.named_parameters())
-        out.extend((f"stack_b.{n}", t, d) for n, t, d in self.stack_b.named_parameters())
-        return out
 
 
 def init_fusion(rng: np.random.Generator, cfg: "ModelConfig") -> FusionParams:
     share = cfg.fusion_variant is FusionVariant.CME_SHARED
-    tfm = cfg.fusion_tfm()
+    tfm, d = cfg.fusion_tfm(), cfg.dim_fusion
     return FusionParams(
         variant=cfg.fusion_variant,
-        seed=Tensor(trunc_normal(rng, (1, cfg.dim_fusion)), requires_grad=True),
-        ln_v_gain=_ones(cfg.dim_vision), ln_v_bias=_zeros(cfg.dim_vision),
-        w_v=_weight(rng, (cfg.dim_vision, cfg.dim_fusion)),
-        b_v=_zeros((1, cfg.dim_fusion)),
-        ln_l_gain=_ones(cfg.dim_language), ln_l_bias=_zeros(cfg.dim_language),
-        w_l=_weight(rng, (cfg.dim_language, cfg.dim_fusion)),
-        b_l=_zeros((1, cfg.dim_fusion)),
+        seed=Tensor(trunc_normal(rng, (1, d)), requires_grad=True),
+        proj_v=Projection(ln=_norm(cfg.dim_vision), w=_weight(rng, (cfg.dim_vision, d)),
+                          b=_zeros((1, d))),
+        proj_l=Projection(ln=_norm(cfg.dim_language), w=_weight(rng, (cfg.dim_language, d)),
+                          b=_zeros((1, d))),
         stack_a=init_stack(rng, tfm, share_weights=share),
         stack_b=init_stack(rng, tfm, share_weights=share),
     )
@@ -103,9 +92,8 @@ def init_fusion(rng: np.random.Generator, cfg: "ModelConfig") -> FusionParams:
 
 def project(z_v: Tensor, z_l: Tensor, params: FusionParams) -> tuple[Tensor, Tensor]:
     """Normalize each modality and project it to the shared fusion width."""
-    pv = T.matmul(T.layer_norm(z_v, params.ln_v_gain, params.ln_v_bias), params.w_v) + params.b_v
-    pl = T.matmul(T.layer_norm(z_l, params.ln_l_gain, params.ln_l_bias), params.w_l) + params.b_l
-    return pv, pl
+    return tuple(T.matmul(T.layer_norm(z, p.ln.gain, p.ln.bias), p.w) + p.b
+                 for z, p in ((z_v, params.proj_v), (z_l, params.proj_l)))
 
 
 def _seed_tokens(params: FusionParams, like: Tensor) -> Tensor:

@@ -256,13 +256,13 @@ def check_model_gradients(cfg=None, n_params: int = 50, seed: int = 0,
         return total
 
     named = params.named_parameters()
-    for _, t, _ in named:
+    for _, t in named:
         t.grad = None
     T.reset_graph()
     T.backward(loss_value())
 
     # Deterministic sample of (tensor, element) pairs across all parameters.
-    sizes = np.array([t.size for _, t, _ in named])
+    sizes = np.array([t.size for _, t in named])
     cum = np.cumsum(sizes)
     picks = np.sort(rng.choice(int(cum[-1]), size=min(n_params, int(cum[-1])),
                                replace=False))
@@ -270,7 +270,7 @@ def check_model_gradients(cfg=None, n_params: int = 50, seed: int = 0,
     with T.no_grad():
         for flat_pick in picks:
             pi = int(np.searchsorted(cum, flat_pick, side="right"))
-            name, t, _ = named[pi]
+            name, t = named[pi]
             j = int(flat_pick - (cum[pi - 1] if pi else 0))
             a = 0.0 if t.grad is None else float(t.grad.flat[j])
             keep = t.data.flat[j]
@@ -281,6 +281,6 @@ def check_model_gradients(cfg=None, n_params: int = 50, seed: int = 0,
             t.data.flat[j] = keep
             numeric = (up - down) / (2.0 * eps)
             report.entries.append(CheckEntry(f"{name}[{j}]", _rel_err(a, numeric)))
-    for _, t, _ in named:
+    for _, t in named:
         t.grad = None
     return report

@@ -4,8 +4,9 @@ Patch labels mark a patch foreground only when the ground-truth mask covers
 strictly more than ``tau`` of it. The loss is
 ``lam * BCE(patch_probs, patch_labels) + BCE(sigmoid(pixel_logits), mask)``,
 each term mean-reduced over its own elements. AdamW applies decoupled weight
-decay to weight matrices only; biases, norm affines, positional tables, and
-the class seed are exempt.
+decay to a parameter when the last part of its name (its field path) starts
+with ``w``, as weight matrices do, or is ``embed``; biases, norm affines, the
+positional table ``pos`` and the class ``seed`` are exempt.
 """
 
 from __future__ import annotations
@@ -114,19 +115,24 @@ def lr_at(iteration: int, cfg: TrainConfig) -> float:
     return cfg.base_lr * remaining ** cfg.poly_power
 
 
-class AdamW:
-    """Decoupled-weight-decay Adam over (name, tensor, decay) triples."""
+def decays(name: str) -> bool:
+    """The weight-decay rule of the module docstring."""
+    leaf = name.rpartition(".")[2]
+    return leaf.startswith("w") or leaf == "embed"
 
-    def __init__(self, named_params: Sequence[tuple[str, Tensor, bool]],
-                 cfg: TrainConfig):
+
+class AdamW:
+    """Decoupled-weight-decay Adam over (name, tensor) pairs; see :func:`decays`."""
+
+    def __init__(self, named_params: Sequence[tuple[str, Tensor]], cfg: TrainConfig):
         self.cfg = cfg
         self.params = list(named_params)
         self.step_count = 0
-        self.m = [np.zeros_like(t.data) for _, t, _ in self.params]
-        self.v = [np.zeros_like(t.data) for _, t, _ in self.params]
+        self.m = [np.zeros_like(t.data) for _, t in self.params]
+        self.v = [np.zeros_like(t.data) for _, t in self.params]
 
     def zero_grad(self) -> None:
-        for _, t, _ in self.params:
+        for _, t in self.params:
             t.grad = None
 
     def step(self, lr: float) -> float:
@@ -134,19 +140,19 @@ class AdamW:
         A non-finite norm raises NonFiniteLossError before anything is written."""
         cfg = self.cfg
         sq_norms = [0.0 if t.grad is None else float(np.vdot(t.grad, t.grad))
-                    for _, t, _ in self.params]
+                    for _, t in self.params]
         sq_norm = sum(sq_norms)
         if not math.isfinite(sq_norm):
-            bad = next((name for (name, _, _), sq in zip(self.params, sq_norms)
+            bad = next((name for (name, _), sq in zip(self.params, sq_norms)
                         if not math.isfinite(sq)), "global norm overflow")
             raise NonFiniteLossError(f"non-finite gradient at iteration "
                                      f"{self.step_count + 1}: {bad}")
         self.step_count += 1
         bc1 = 1.0 - cfg.beta1 ** self.step_count
         bc2 = 1.0 - cfg.beta2 ** self.step_count
-        for (_, t, decay), m, v in zip(self.params, self.m, self.v):
+        for (name, t), m, v in zip(self.params, self.m, self.v):
             g = np.zeros_like(t.data) if t.grad is None else t.grad
-            if decay and cfg.weight_decay:
+            if cfg.weight_decay and decays(name):
                 t.data *= 1.0 - lr * cfg.weight_decay
             m *= cfg.beta1
             m += (1.0 - cfg.beta1) * g
@@ -163,9 +169,9 @@ class AdamW:
             raise ValueError("optimizer state does not match the parameter list")
         self.step_count = int(state["step"])
         self.m = [np.asarray(a, dtype=np.float64).reshape(t.data.shape)
-                  for a, (_, t, _) in zip(state["m"], self.params)]
+                  for a, (_, t) in zip(state["m"], self.params)]
         self.v = [np.asarray(a, dtype=np.float64).reshape(t.data.shape)
-                  for a, (_, t, _) in zip(state["v"], self.params)]
+                  for a, (_, t) in zip(state["v"], self.params)]
 
 
 @dataclass

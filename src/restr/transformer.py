@@ -13,7 +13,7 @@ layout, when the scores are shifted and what backward keeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -63,12 +63,56 @@ def _zeros(shape) -> Tensor:
     return Tensor(np.zeros(shape), requires_grad=True)
 
 
-def _ones(shape) -> Tensor:
-    return Tensor(np.ones(shape), requires_grad=True)
+class Params:
+    """Base of the parameter dataclasses. A tensor's name is its field path:
+    field names in declaration order and list indices, joined by dots
+    (``stack.blocks.0.mlp.w1``). Fields that hold no Tensor are skipped."""
+
+    def named_parameters(self) -> list[tuple[str, Tensor]]:
+        """Every tensor once, under the first path that reaches it (a block
+        repeated for weight sharing is listed at its first use)."""
+        found: dict[int, tuple[str, Tensor]] = {}
+
+        def walk(path: str, node) -> None:
+            if isinstance(node, Tensor):
+                found.setdefault(id(node), (path, node))
+            elif isinstance(node, Params):
+                for f in fields(node):
+                    walk(f"{path}.{f.name}" if path else f.name, getattr(node, f.name))
+            elif isinstance(node, list):
+                for i, item in enumerate(node):
+                    walk(f"{path}.{i}", item)
+
+        walk("", self)
+        return list(found.values())
 
 
 @dataclass
-class BlockParams:
+class Linear(Params):
+    w: Tensor
+    b: Tensor
+
+
+@dataclass
+class Norm(Params):
+    gain: Tensor
+    bias: Tensor
+
+
+def _norm(dim: int) -> Norm:
+    return Norm(gain=Tensor(np.ones(dim), requires_grad=True), bias=_zeros(dim))
+
+
+@dataclass
+class Mlp(Params):
+    w1: Tensor
+    b1: Tensor
+    w2: Tensor
+    b2: Tensor
+
+
+@dataclass
+class BlockParams(Params):
     """Parameters of one pre-norm block: the fused q/k/v projection, the
     output projection, two layer norms, and the two-layer MLP.
 
@@ -80,45 +124,17 @@ class BlockParams:
     w_qkv: Tensor
     b_qkv: Tensor
     w_out: Tensor
-    ln1_gain: Tensor
-    ln1_bias: Tensor
-    ln2_gain: Tensor
-    ln2_bias: Tensor
-    w_mlp1: Tensor
-    b_mlp1: Tensor
-    w_mlp2: Tensor
-    b_mlp2: Tensor
-
-    def named_parameters(self):
-        return [
-            ("w_qkv", self.w_qkv, True), ("b_qkv", self.b_qkv, False),
-            ("w_out", self.w_out, True),
-            ("ln1.gain", self.ln1_gain, False), ("ln1.bias", self.ln1_bias, False),
-            ("ln2.gain", self.ln2_gain, False), ("ln2.bias", self.ln2_bias, False),
-            ("mlp.w1", self.w_mlp1, True), ("mlp.b1", self.b_mlp1, False),
-            ("mlp.w2", self.w_mlp2, True), ("mlp.b2", self.b_mlp2, False),
-        ]
+    ln1: Norm
+    ln2: Norm
+    mlp: Mlp
 
 
 @dataclass
-class StackParams:
+class StackParams(Params):
     """An encoder stack; repeated block references realize weight sharing."""
 
     blocks: list[BlockParams]
-    ln_f_gain: Tensor
-    ln_f_bias: Tensor
-
-    def named_parameters(self):
-        out, seen = [], set()
-        for i, blk in enumerate(self.blocks):
-            for name, t, decay in blk.named_parameters():
-                if id(t) in seen:
-                    continue
-                seen.add(id(t))
-                out.append((f"blocks.{i}.{name}", t, decay))
-        out.append(("ln_f.gain", self.ln_f_gain, False))
-        out.append(("ln_f.bias", self.ln_f_bias, False))
-        return out
+    ln_f: Norm
 
 
 def init_block(rng: np.random.Generator, cfg: TransformerConfig) -> BlockParams:
@@ -131,10 +147,9 @@ def init_block(rng: np.random.Generator, cfg: TransformerConfig) -> BlockParams:
         heads=cfg.heads,
         w_qkv=Tensor(w_qkv, requires_grad=True), b_qkv=_zeros((1, 3 * d)),
         w_out=_weight(rng, (cfg.heads * dh, d)),
-        ln1_gain=_ones(d), ln1_bias=_zeros(d),
-        ln2_gain=_ones(d), ln2_bias=_zeros(d),
-        w_mlp1=_weight(rng, (d, hm)), b_mlp1=_zeros((1, hm)),
-        w_mlp2=_weight(rng, (hm, d)), b_mlp2=_zeros((1, d)),
+        ln1=_norm(d), ln2=_norm(d),
+        mlp=Mlp(w1=_weight(rng, (d, hm)), b1=_zeros((1, hm)),
+                w2=_weight(rng, (hm, d)), b2=_zeros((1, d))),
     )
 
 
@@ -145,7 +160,7 @@ def init_stack(rng: np.random.Generator, cfg: TransformerConfig,
         blocks = [blk] * cfg.layers
     else:
         blocks = [init_block(rng, cfg) for _ in range(cfg.layers)]
-    return StackParams(blocks=blocks, ln_f_gain=_ones(cfg.dim), ln_f_bias=_zeros(cfg.dim))
+    return StackParams(blocks=blocks, ln_f=_norm(cfg.dim))
 
 
 def self_attention(z: Tensor, block: BlockParams) -> Tensor:
@@ -165,17 +180,18 @@ def msa(z: Tensor, block: BlockParams) -> Tensor:
 
 
 def transformer_block(z: Tensor, block: BlockParams) -> Tensor:
-    zb = msa(T.layer_norm(z, block.ln1_gain, block.ln1_bias), block) + z
-    hidden = T.gelu(T.matmul(T.layer_norm(zb, block.ln2_gain, block.ln2_bias),
-                             block.w_mlp1) + block.b_mlp1)
-    return T.matmul(hidden, block.w_mlp2) + block.b_mlp2 + zb
+    zb = msa(T.layer_norm(z, block.ln1.gain, block.ln1.bias), block) + z
+    mlp = block.mlp
+    hidden = T.gelu(T.matmul(T.layer_norm(zb, block.ln2.gain, block.ln2.bias), mlp.w1)
+                    + mlp.b1)
+    return T.matmul(hidden, mlp.w2) + mlp.b2 + zb
 
 
 def encoder_stack(z: Tensor, params: StackParams) -> Tensor:
     """Run every block, then the terminal layer norm."""
     for block in params.blocks:
         z = transformer_block(z, block)
-    return T.layer_norm(z, params.ln_f_gain, params.ln_f_bias)
+    return T.layer_norm(z, params.ln_f.gain, params.ln_f.bias)
 
 
 def block_param_count(cfg: TransformerConfig) -> int:

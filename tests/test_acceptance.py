@@ -344,7 +344,7 @@ def test_a10_persistence_and_determinism(tmp_path):
     save_checkpoint(tmp_path / "again.rstr", cfg, params)
     cfg2, params2, _ = load_checkpoint(tmp_path / "again.rstr")
     max_rel = 0.0
-    for (_, t1, _), (_, t2, _) in zip(params.named_parameters(),
+    for (_, t1), (_, t2) in zip(params.named_parameters(),
                                       params2.named_parameters()):
         denom = np.maximum(np.abs(t1.data), 1e-12)
         max_rel = max(max_rel, float((np.abs(t1.data - t2.data) / denom).max()))

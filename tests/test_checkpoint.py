@@ -1,5 +1,6 @@
 """Checkpoint persistence and flat run-config parsing."""
 
+import hashlib
 import pathlib
 import re
 import struct
@@ -15,8 +16,10 @@ from restr.fusion import FusionVariant
 from restr.runconfig import (UsageError, build_configs, load_config_file,
                              model_config_from_text, parse_config_text,
                              serialize_model_config)
-from restr.training import AdamW, TrainConfig, train
+from restr.training import AdamW, TrainConfig, decays, train
 from restr.data import generate
+
+from conftest import A5
 
 
 def tiny_cfg(**kw):
@@ -85,7 +88,7 @@ class TestCheckpoint:
         cfg2, params2, opt = load_checkpoint(path)
         assert opt is None
         assert cfg2 == cfg
-        for (n1, t1, _), (n2, t2, _) in zip(params.named_parameters(),
+        for (n1, t1), (n2, t2) in zip(params.named_parameters(),
                                             params2.named_parameters()):
             assert n1 == n2
             denom = np.maximum(np.abs(t1.data), 1e-12)
@@ -146,8 +149,8 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_fused_attention_names(self, tmp_path):
-        names = {n for n, _, _ in init_model(np.random.default_rng(4),
-                                             tiny_cfg()).named_parameters()}
+        names = {n for n, _ in init_model(np.random.default_rng(4),
+                                          tiny_cfg()).named_parameters()}
         assert "vision.stack.blocks.0.w_qkv" in names
         assert "fusion.stack_b.blocks.0.b_qkv" in names
         assert not any(".heads." in n for n in names)
@@ -197,9 +200,9 @@ class TestCheckpoint:
         cfg = tiny_cfg()
         params = init_model(np.random.default_rng(4), cfg)
         named = params.named_parameters()
-        state = {"step": 1, "m": [np.zeros(t.shape) for _, t, _ in named],
-                 "v": [np.ones(t.shape) for _, t, _ in named]}
-        name, t, _ = named[7]
+        state = {"step": 1, "m": [np.zeros(t.shape) for _, t in named],
+                 "v": [np.ones(t.shape) for _, t in named]}
+        name, t = named[7]
         (t.data if blob == "parameter" else state[blob][7]).flat[-1] = value
         save_checkpoint(tmp_path / "m.rstr", cfg, params, state)
         what = "parameter" if blob == "parameter" else f"AdamW {blob} of"
@@ -241,3 +244,54 @@ class TestCheckpoint:
     def test_model_config_text_round_trip(self):
         cfg = tiny_cfg(fusion_variant="vme")
         assert model_config_from_text(serialize_model_config(cfg)) == cfg
+
+
+# sha256 of the (name, shape, decays) list and of the saved checkpoint (one
+# AdamW step included) at the A5 geometry. The names are the checkpoint format,
+# and a change in their order, shapes, decay or initial values shows here.
+TREE_PINS = {
+    ("cme", 2): ("49db4d6970294d8eb3880c6c13dc8001b0da502953ea772002002c45edda222e",
+                "5557dfd7c9f74abeb94f200962126aece2022e378d030447402dcb2ad907025d"),
+    ("cme", 4): ("d720e9ac1471e49d94fffe231b7c0bd4d1fd037de9073d20f9ecc289e938151c",
+                "9b2151fbbf7ccae5053b34d6c95f0d2488c622a27bd00ba0c1781e115db1a0f9"),
+    ("cme_shared", 2): ("49db4d6970294d8eb3880c6c13dc8001b0da502953ea772002002c45edda222e",
+                       "40c2e7300d764765b03a1c53053c503f05f33269fe8bd7a5b521b3142ae01a6b"),
+    ("cme_shared", 4): ("49db4d6970294d8eb3880c6c13dc8001b0da502953ea772002002c45edda222e",
+                       "1be895b9562d4093edaff2adec2529c791f4f11dabf966cd99c141e01c25aed2"),
+    ("ime", 2): ("49db4d6970294d8eb3880c6c13dc8001b0da502953ea772002002c45edda222e",
+                "2a37cea4af4cdca3d67308bc8fa02703c825c5202328d637c49e78b2dc00cbfb"),
+    ("ime", 4): ("d720e9ac1471e49d94fffe231b7c0bd4d1fd037de9073d20f9ecc289e938151c",
+                "15d9dca3798b3382471a48f4ab76708377dd2014719f1cc7d8fd41a57104f888"),
+    ("vme", 2): ("49db4d6970294d8eb3880c6c13dc8001b0da502953ea772002002c45edda222e",
+                "a08deeaebc46d6d499fe2291c1fc12c97fdb08bc554e5c64c217a52ec2deb167"),
+    ("vme", 4): ("d720e9ac1471e49d94fffe231b7c0bd4d1fd037de9073d20f9ecc289e938151c",
+                "a9d1128ca2616727b8041cb1a5185b14da32dcc158232ef7f426205efc1413c9"),
+}
+
+
+class TestParameterTree:
+    @pytest.mark.parametrize("variant,layers", sorted(TREE_PINS))
+    def test_names_and_bytes_are_pinned(self, tmp_path, variant, layers):
+        cfg = ModelConfig(**{**A5, "fusion_variant": variant, "fusion_layers": layers})
+        params = init_model(np.random.default_rng(4), cfg)
+        named = params.named_parameters()
+        listing = repr([(n, t.data.shape, decays(n)) for n, t in named]).encode()
+        opt = AdamW(named, TrainConfig(weight_decay=0.1))
+        for _, t in named:
+            t.grad = np.ones_like(t.data)
+        opt.step(1e-2)
+        save_checkpoint(tmp_path / "m.rstr", cfg, params, opt.state())
+        digests = (hashlib.sha256(listing).hexdigest(),
+                   hashlib.sha256((tmp_path / "m.rstr").read_bytes()).hexdigest())
+        assert digests == TREE_PINS[variant, layers]
+
+    def test_names_are_field_paths(self):
+        params = init_model(np.random.default_rng(4), tiny_cfg(fusion_variant="cme_shared",
+                                                               fusion_layers=4))
+        named = dict(params.named_parameters())
+        assert named["fusion.proj_v.ln.gain"] is params.fusion.proj_v.ln.gain
+        assert named["vision.stack.blocks.0.mlp.w1"] is params.vision.stack.blocks[0].mlp.w1
+        assert named["decoder.blocks.1.b"] is params.decoder.blocks[1].b
+        # Shared blocks are listed once; constant tables are not parameters.
+        assert not any(n.startswith("fusion.stack_a.blocks.1.") for n in named)
+        assert not any("pos_table" in n for n in named)

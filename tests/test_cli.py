@@ -42,10 +42,27 @@ def trained(tmp_path_factory, dataset_dir):
     return out
 
 
+@pytest.fixture(scope="module")
+def misfit_data(tmp_path_factory):
+    """Datasets that the ``trained`` model (full vocabulary, 32x32) does not
+    fit, each with the error that names the mismatch."""
+    root = tmp_path_factory.mktemp("misfit")
+    save(generate(3, 4, 32, 32, vocab=VOCABULARY[:6]), root / "vocab")
+    save(generate(3, 4, 64, 64), root / "size")
+    return {"vocab": (root / "vocab", "dataset vocab_size 6 does not match the "
+                      f"checkpoint's vocab_size {len(VOCABULARY)}"),
+            "size": (root / "size", "dataset image_h 64 does not match the "
+                     "checkpoint's image_h 32")}
+
+
+def no_forward(*args, **kwargs):
+    raise AssertionError("the model ran before the input was checked")
+
+
 def nan_weight_checkpoint(trained, tmp_path):
     """The trained checkpoint with one NaN in the decoder's final weight."""
     cfg, params, opt_state = load_checkpoint(trained / "checkpoint.rstr")
-    params.decoder.w_final.data[0, 0] = np.nan
+    params.decoder.final.w.data[0, 0] = np.nan
     bad = tmp_path / "nan.rstr"
     save_checkpoint(bad, cfg, params, opt_state)
     return bad
@@ -65,6 +82,12 @@ class TestGen:
 
     def test_count_zero_is_usage_error(self, tmp_path):
         assert main(["gen", "--count", "0", "--out", str(tmp_path / "x")]) == 1
+
+    def test_small_canvas_is_usage_error(self, tmp_path, capsys):
+        assert main(["gen", "--count", "2", "--size", "16",
+                     "--out", str(tmp_path / "x")]) == 1
+        assert "--size must be >= 32, got 16" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_generated_index_loads(self, dataset_dir):
         ds = load(dataset_dir)
@@ -181,21 +204,17 @@ class TestTrain:
         assert (f"{flag} {value} does not match the checkpoint's {key} {have}"
                 in capsys.readouterr().err)
 
-    def test_resume_rejects_smaller_vocabulary(self, tmp_path, trained, capsys):
-        small = tmp_path / "small"
-        save(generate(3, 8, 32, 32, vocab=VOCABULARY[:6]), small)
-        assert self.resume(trained, small, tmp_path / "o") == 1
-        assert (f"dataset vocab_size 6 does not match the checkpoint's vocab_size "
-                f"{len(VOCABULARY)}" in capsys.readouterr().err)
+    def test_resume_rejects_smaller_vocabulary(self, tmp_path, trained, misfit_data,
+                                               capsys):
+        data, message = misfit_data["vocab"]
+        assert self.resume(trained, data, tmp_path / "o") == 1
+        assert message in capsys.readouterr().err
 
-    def test_resume_rejects_other_image_size(self, tmp_path, trained, capsys):
-        large = tmp_path / "large"
-        assert main(["gen", "--seed", "3", "--count", "8", "--size", "64",
-                     "--out", str(large)]) == 0
-        capsys.readouterr()
-        assert self.resume(trained, large, tmp_path / "o") == 1
-        assert ("dataset image_h 64 does not match the checkpoint's image_h 32"
-                in capsys.readouterr().err)
+    def test_resume_rejects_other_image_size(self, tmp_path, trained, misfit_data,
+                                             capsys):
+        data, message = misfit_data["size"]
+        assert self.resume(trained, data, tmp_path / "o") == 1
+        assert message in capsys.readouterr().err
 
     def test_nan_weight_stops_training(self, tmp_path, trained, dataset_dir, capsys):
         bad = nan_weight_checkpoint(trained, tmp_path)
@@ -218,7 +237,7 @@ class TestTrain:
         real_step = training.AdamW.step
 
         def poisoned_step(self, lr):  # a backward that left a NaN behind
-            {n: t for n, t, _ in self.params}["decoder.final.w"].grad[0, 0] = np.nan
+            dict(self.params)["decoder.final.w"].grad[0, 0] = np.nan
             return real_step(self, lr)
 
         monkeypatch.setattr(training.AdamW, "step", poisoned_step)
@@ -282,13 +301,20 @@ class TestEval:
 
     def test_uncovered_bucket_fails_before_forward(self, trained, dataset_dir,
                                                    monkeypatch, capsys):
-        def no_forward(*args, **kwargs):
-            raise AssertionError("forward ran before the bucket check")
-
         monkeypatch.setattr(decoder, "encode", no_forward)
         assert main(["eval", "--ckpt", str(trained / "checkpoint.rstr"),
                      "--data", str(dataset_dir), "--buckets", "1-2"]) == 1
         assert "not covered by" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("misfit", ["vocab", "size"])
+    def test_dataset_the_model_does_not_fit(self, tmp_path, trained, misfit_data,
+                                            misfit, monkeypatch, capsys):
+        data, message = misfit_data[misfit]
+        monkeypatch.setattr(decoder, "encode", no_forward)
+        assert main(["eval", "--ckpt", str(trained / "checkpoint.rstr"),
+                     "--data", str(data), "--out", str(tmp_path / "e")]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
 
     def test_missing_checkpoint(self, tmp_path, dataset_dir):
         assert main(["eval", "--ckpt", str(tmp_path / "no.rstr"),
@@ -452,3 +478,21 @@ class TestRenderCmd:
         assert main(["render", "--ckpt", str(trained / "checkpoint.rstr"),
                      "--data", str(dataset_dir), "--ids", "99",
                      "--out", str(tmp_path / "r2")]) == 1
+
+    def test_unknown_id_is_checked_before_any_render(self, tmp_path, trained,
+                                                      dataset_dir, capsys):
+        assert main(["render", "--ckpt", str(trained / "checkpoint.rstr"),
+                     "--data", str(dataset_dir), "--ids", "0,9",
+                     "--out", str(tmp_path / "r3")]) == 1
+        assert "sample id 9 outside dataset of 8" in capsys.readouterr().err
+        assert not (tmp_path / "r3").exists()
+
+    @pytest.mark.parametrize("misfit", ["vocab", "size"])
+    def test_dataset_the_model_does_not_fit(self, tmp_path, trained, misfit_data,
+                                            misfit, monkeypatch, capsys):
+        data, message = misfit_data[misfit]
+        monkeypatch.setattr(decoder, "encode", no_forward)
+        assert main(["render", "--ckpt", str(trained / "checkpoint.rstr"),
+                     "--data", str(data), "--ids", "0", "--out", str(tmp_path / "r")]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()

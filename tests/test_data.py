@@ -317,13 +317,13 @@ class TestStoredPrecision:
     def _a5_step(params, cfg, images, masks, token_ids):
         y_p = np.stack([patch_labels(m, cfg.patch_size, 0.8) for m in masks])
         T.reset_graph()
-        for _, t, _ in params.named_parameters():
+        for _, t in params.named_parameters():
             t.grad = None
         pred = forward(images, token_ids, params, cfg)
         total, _, _ = segmentation_loss(pred, y_p, masks, lam=0.1)
         T.backward(total)
         return ([pred.pixel_logits.data, total.data]
-                + [t.grad for _, t, _ in params.named_parameters()])
+                + [t.grad for _, t in params.named_parameters()])
 
     def test_a5_step_equals_float64_batch(self, tmp_path):
         cfg = ModelConfig(vocab_size=len(VOCABULARY), **A5)

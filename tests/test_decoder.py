@@ -97,8 +97,8 @@ class TestDecodePixels:
         assert cfg.decoder_blocks == 4
         assert decoder_channel_chain(cfg) == [32, 16, 8, 4, 2]
         params = init_decoder(np.random.default_rng(6), cfg)
-        assert [w.shape for w, _ in params.blocks] == [(32, 16), (16, 8), (8, 4), (4, 2)]
-        assert params.w_final.shape == (2, 1)
+        assert [blk.w.shape for blk in params.blocks] == [(32, 16), (16, 8), (8, 4), (4, 2)]
+        assert params.final.w.shape == (2, 1)
 
     def test_three_blocks_p8(self):
         cfg = ModelConfig(image_h=64, image_w=64, patch_size=8, dim_fusion=64)
@@ -147,9 +147,9 @@ def paper_order_decode(z_v, z_masked, params, cfg):
     gh, gw = cfg.patch_grid
     x = T.concat([z_v, z_masked], axis=-1)
     grid = T.reshape(x, (*z_v.shape[:-2], gh, gw, 2 * cfg.dim_fusion))
-    for w, b in params.blocks:
-        grid = T.gelu(T.matmul(T.upsample2x_bilinear(grid), w) + b)
-    return T.matmul(grid, params.w_final) + params.b_final
+    for blk in params.blocks:
+        grid = T.gelu(T.matmul(T.upsample2x_bilinear(grid), blk.w) + blk.b)
+    return T.matmul(grid, params.final.w) + params.final.b
 
 
 def max_rel_err(a, b):
@@ -168,12 +168,12 @@ class TestDecoderOrder:
         assert cfg.decoder_blocks == blocks
         rng = np.random.default_rng(20 + patch)
         params = init_decoder(rng, cfg)
-        for _, b, _ in params.named_parameters():
+        for _, b in params.named_parameters():
             b.data = rng.standard_normal(b.shape)  # nonzero biases, too
         z_v = Tensor(rng.standard_normal((2, cfg.n_patches, 16)), requires_grad=True)
         z_m = Tensor(rng.standard_normal((2, cfg.n_patches, 16)), requires_grad=True)
         weights = Tensor(rng.standard_normal((2, size, size, 1)))
-        leaves = [z_v, z_m] + [t for _, t, _ in params.named_parameters()]
+        leaves = [z_v, z_m] + [t for _, t in params.named_parameters()]
         results = []
         for decode in (decode_pixels, paper_order_decode):
             for t in leaves:

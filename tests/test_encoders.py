@@ -1,14 +1,20 @@
 """Modality encoders: patchify, positional tables, vision/language encoding."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+
+import restr.tensor as T
 
 from restr.encoders import (ModelConfig, load_vocab, language_encode, pad_token_ids,
                             patchify, save_vocab, sinusoidal_table, tokenize,
                             vision_encode,
                             init_language, init_vision, PAD_ID, UNK_ID)
-from restr.transformer import ConfigError
+from restr.tensor import Tensor
+from restr.transformer import ConfigError, encoder_stack
 
 
 @pytest.fixture
@@ -197,6 +203,23 @@ class TestLanguageEncode:
         params = init_language(np.random.default_rng(10), cfg)
         with pytest.raises(ValueError):
             language_encode([[99]], params, cfg)
+
+    def test_large_vocabulary_one_hot_is_per_token(self, cfg):
+        # An identity matrix of the vocabulary would take 4000^2 * 8 B = 128 MB.
+        cfg = dataclasses.replace(cfg, vocab_size=4000)
+        params = init_language(np.random.default_rng(11), cfg)
+        ids = [[3, 3999, 17, 2]]
+        tracemalloc.start()
+        try:
+            out = language_encode(ids, params, cfg).data
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        padded = np.array([pad_token_ids(ids[0], cfg)])
+        emb = T.matmul(Tensor(np.eye(cfg.vocab_size)[padded]), params.embed)
+        expected = encoder_stack(emb + Tensor(params.pos_table), params.stack).data
+        npt.assert_array_equal(out, expected)
 
     def test_truncation_warns(self, cfg):
         with pytest.warns(UserWarning, match="truncated"):

@@ -36,17 +36,17 @@ class TestProject:
         cfg = make_cfg()
         rng = np.random.default_rng(1)
         params = init_fusion(rng, cfg)
-        params.w_v.data = np.eye(16)
-        params.w_l.data = np.eye(16)
-        params.b_v.data[:] = 0.0
-        params.b_l.data[:] = 0.0
+        params.proj_v.w.data = np.eye(16)
+        params.proj_l.w.data = np.eye(16)
+        params.proj_v.b.data[:] = 0.0
+        params.proj_l.b.data[:] = 0.0
         z_v = Tensor(rng.standard_normal((4, 16)))
         z_l = Tensor(rng.standard_normal((3, 16)))
         pv, pl = project(z_v, z_l, params)
         npt.assert_array_equal(
-            pv.data, T.layer_norm(z_v, params.ln_v_gain, params.ln_v_bias).data)
+            pv.data, T.layer_norm(z_v, params.proj_v.ln.gain, params.proj_v.ln.bias).data)
         npt.assert_array_equal(
-            pl.data, T.layer_norm(z_l, params.ln_l_gain, params.ln_l_bias).data)
+            pl.data, T.layer_norm(z_l, params.proj_l.ln.gain, params.proj_l.ln.bias).data)
 
     def test_output_shapes(self):
         cfg = ModelConfig(image_h=16, image_w=16, patch_size=4,
@@ -94,11 +94,11 @@ class TestCme:
         params = init_fusion(np.random.default_rng(7), cfg)
         for block in params.stack_b.blocks:
             block.w_out.data[:] = 0.0
-            block.w_mlp2.data[:] = 0.0
+            block.mlp.w2.data[:] = 0.0
         z_v, z_l = projected_inputs(cfg)
         _, e_s = fuse(z_v, z_l, params)
-        expected = T.layer_norm(params.seed, params.stack_b.ln_f_gain,
-                                params.stack_b.ln_f_bias)
+        expected = T.layer_norm(params.seed, params.stack_b.ln_f.gain,
+                                params.stack_b.ln_f.bias)
         npt.assert_array_equal(e_s.data, expected.data)
 
     def test_seed_depends_on_vision_only_through_attended_language(self):
@@ -190,7 +190,7 @@ class TestTopologyKept:
         z_l = rng.standard_normal((2, cfg.max_tokens, cfg.dim_fusion))
         w_v = Tensor(rng.standard_normal((2, cfg.n_patches, cfg.dim_fusion)))
         w_e = Tensor(rng.standard_normal((2, 1, cfg.dim_fusion)))
-        leaves = [t for _, t, _ in params.named_parameters()]
+        leaves = [t for _, t in params.named_parameters()]
         runs = []
         for route in (fuse, written_out_routing):
             inputs = [Tensor(z_v, requires_grad=True), Tensor(z_l, requires_grad=True)]
@@ -320,7 +320,7 @@ class TestProfile:
             cfg_v = make_cfg(variant.value, fusion_layers=4)
             params = init_fusion(np.random.default_rng(25), cfg_v)
             block_params = sum(
-                t.size for name, t, _ in (params.stack_a.named_parameters()
+                t.size for name, t in (params.stack_a.named_parameters()
                                           + params.stack_b.named_parameters())
                 if not name.startswith("ln_f"))
             assert block_params == profile(variant, cfg_v).param_count

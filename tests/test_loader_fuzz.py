@@ -54,8 +54,8 @@ def good(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     save(generate(seed=3, count=2, h=32, w=32), root / "data")
     params = init_model(np.random.default_rng(0), CFG)
-    state = {"step": 1, "m": [np.zeros_like(t.data) for _, t, _ in params.named_parameters()],
-             "v": [np.ones_like(t.data) for _, t, _ in params.named_parameters()]}
+    state = {"step": 1, "m": [np.zeros_like(t.data) for _, t in params.named_parameters()],
+             "v": [np.ones_like(t.data) for _, t in params.named_parameters()]}
     save_checkpoint(root / "model.rstr", CFG, params, state)
     (root / "config.txt").write_text(serialize_model_config(CFG) + "base_lr = 0.001\n",
                                      encoding="utf-8")

@@ -15,7 +15,7 @@ from restr.encoders import ModelConfig, patchify
 from restr.metrics import cumulative_iou, predicted_masks
 from restr.tensor import Tensor
 from restr.training import (AdamW, NonFiniteLossError, TrainConfig, batch_indices,
-                            lr_at, patch_labels, segmentation_loss, train)
+                            decays, lr_at, patch_labels, segmentation_loss, train)
 from restr.transformer import ConfigError
 
 from conftest import A5, A8, run_with_blas_threads
@@ -162,14 +162,14 @@ class TestTrainConfig:
 class TestAdamW:
     def test_zero_grad_zero_decay_fixed_point(self):
         t = Tensor(np.array([[1.0, -2.0]]), requires_grad=True)
-        opt = AdamW([("w", t, True)], TrainConfig(weight_decay=0.0))
+        opt = AdamW([("w", t)], TrainConfig(weight_decay=0.0))
         t.grad = np.zeros((1, 2))
         opt.step(1e-3)
         npt.assert_array_equal(t.data, [[1.0, -2.0]])
 
     def test_first_step_is_signed_lr(self):
         t = Tensor(np.array([0.0]), requires_grad=True)
-        opt = AdamW([("w", t, False)], TrainConfig(weight_decay=0.0))
+        opt = AdamW([("w", t)], TrainConfig(weight_decay=0.0))
         t.grad = np.array([0.37])
         opt.step(1e-2)
         npt.assert_allclose(t.data, [-1e-2 * 0.37 / (0.37 + 1e-8)], rtol=1e-9)
@@ -177,7 +177,7 @@ class TestAdamW:
     def test_quadratic_convergence(self):
         t = Tensor(np.array([3.0]), requires_grad=True)
         cfg = TrainConfig(weight_decay=0.0, total_iters=2000)
-        opt = AdamW([("w", t, False)], cfg)
+        opt = AdamW([("w", t)], cfg)
         for _ in range(2000):
             t.grad = 2.0 * t.data  # d/dx x^2
             opt.step(5e-3)
@@ -187,18 +187,33 @@ class TestAdamW:
         decayed = Tensor(np.array([1.0]), requires_grad=True)
         exempt = Tensor(np.array([1.0]), requires_grad=True)
         cfg = TrainConfig(weight_decay=0.1)
-        opt = AdamW([("w", decayed, True), ("b", exempt, False)], cfg)
+        opt = AdamW([("w", decayed), ("b", exempt)], cfg)
         decayed.grad = np.array([0.0])
         exempt.grad = np.array([0.0])
         opt.step(1.0)
         assert decayed.data[0] == 0.9
         assert exempt.data[0] == 1.0
 
+    def test_decay_rule(self):
+        exempt = ["vision.pos", "fusion.seed", "vision.patch.b",
+                  "vision.stack.blocks.0.b_qkv", "language.stack.blocks.1.mlp.b2",
+                  "decoder.final.b", "vision.stack.blocks.0.ln1.gain",
+                  "language.stack.blocks.0.ln2.bias", "fusion.stack_a.ln_f.gain",
+                  "fusion.proj_l.ln.bias"]
+        decayed = ["vision.patch.w", "vision.stack.blocks.0.w_qkv",
+                   "fusion.stack_b.blocks.0.w_out", "language.stack.blocks.1.mlp.w1",
+                   "fusion.proj_v.w", "decoder.blocks.2.w", "language.embed"]
+        assert not any(decays(n) for n in exempt)
+        assert all(decays(n) for n in decayed)
+        names = [n for n, _ in init_model(np.random.default_rng(0),
+                                          ModelConfig(**A5)).named_parameters()]
+        assert (len(names), sum(map(decays, names))) == (95, 32)
+
     def test_zero_lr_changes_nothing(self):
         rng = np.random.default_rng(3)
         t = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
         before = t.data.copy()
-        opt = AdamW([("w", t, True)], TrainConfig())
+        opt = AdamW([("w", t)], TrainConfig())
         t.grad = rng.standard_normal((3, 3))
         opt.step(0.0)
         npt.assert_array_equal(t.data, before)
@@ -207,10 +222,10 @@ class TestAdamW:
         rng = np.random.default_rng(4)
         t = Tensor(rng.standard_normal((2, 2)), requires_grad=True)
         cfg = TrainConfig()
-        opt = AdamW([("w", t, True)], cfg)
+        opt = AdamW([("w", t)], cfg)
         t.grad = rng.standard_normal((2, 2))
         opt.step(1e-3)
-        opt2 = AdamW([("w", t, True)], cfg)
+        opt2 = AdamW([("w", t)], cfg)
         opt2.load_state(opt.state())
         assert opt2.step_count == 1
         npt.assert_array_equal(opt2.m[0], opt.m[0])
@@ -322,7 +337,7 @@ class TestTrainLog:
                 assert math.isfinite(value) and value > 0
             assert r.samples_per_s == pytest.approx(2e3 / r.wall_ms)
         # the last step leaves its gradients on the parameters
-        grads = [t.grad for _, t, _ in params.named_parameters() if t.grad is not None]
+        grads = [t.grad for _, t in params.named_parameters() if t.grad is not None]
         assert res.rows[-1].grad_norm == pytest.approx(
             math.sqrt(sum(float((g * g).sum()) for g in grads)), rel=1e-12)
 
@@ -343,7 +358,7 @@ class TestNonFiniteLoss:
     def test_nan_weight_stops_before_the_step(self, setup, name, term):
         cfg, ds = setup
         params = init_model(np.random.default_rng(6), cfg)
-        named = {n: t for n, t, _ in params.named_parameters()}
+        named = dict(params.named_parameters())
 
         def poison(row):  # after the step of iteration 2
             if row.iteration == 2:
@@ -366,10 +381,10 @@ class TestNonFiniteLoss:
         opt = AdamW(params.named_parameters(), TrainConfig())
         rng = np.random.default_rng(7)
         for _ in range(2):
-            for _, t, _ in params.named_parameters():
+            for _, t in params.named_parameters():
                 t.grad = rng.standard_normal(t.data.shape)
             opt.step(1e-3)
-        named = {n: t for n, t, _ in params.named_parameters()}
+        named = dict(params.named_parameters())
         named["decoder.final.w"].grad[0, 0] = np.nan
         before = ([t.data.copy() for t in named.values()],
                   [m.copy() for m in opt.m], [v.copy() for v in opt.v])
@@ -401,14 +416,14 @@ class TestBatchInvariance:
 
     def _loss_and_grads(self, params, cfg, images, ids, masks, y_p):
         named = params.named_parameters()
-        for _, t, _ in named:
+        for _, t in named:
             t.grad = None
         T.reset_graph()
         total, _, _ = segmentation_loss(forward(images, ids, params, cfg), y_p,
                                         masks, lam=0.1)
         T.backward(total)
         grads = [np.zeros_like(t.data) if t.grad is None else t.grad.copy()
-                 for _, t, _ in named]
+                 for _, t in named]
         return total.item(), grads
 
     def test_batch_loss_and_gradients_equal_mean_of_single_runs(self):
@@ -421,8 +436,8 @@ class TestBatchInvariance:
                    for i in range(4)]
         mean_loss = np.mean([s[0] for s in singles])
         assert abs(loss - mean_loss) <= 1e-12 * abs(mean_loss)
-        for (name, _, _), g, *per_sample in zip(params.named_parameters(), grads,
-                                                *[s[1] for s in singles]):
+        for (name, _), g, *per_sample in zip(params.named_parameters(), grads,
+                                             *[s[1] for s in singles]):
             mean = np.mean(per_sample, axis=0)
             scale = np.abs(mean).max()
             assert np.abs(g - mean).max() <= 1e-12 * scale, name
@@ -460,7 +475,7 @@ with T.no_grad():
     arrays = {{"logits": forward(images, ids, params, cfg).pixel_logits.data}}
 total, _, _ = segmentation_loss(forward(images, ids, params, cfg), y_p, masks, lam=0.1)
 T.backward(total)
-arrays.update((name, t.grad) for name, t, _ in params.named_parameters())
+arrays.update((name, t.grad) for name, t in params.named_parameters())
 np.savez({path!r}, **arrays)
 """
 

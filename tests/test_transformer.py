@@ -22,7 +22,7 @@ def rand_tokens(rng, n, d):
 
 
 def param_count(stack):
-    return sum(t.size for _, t, _ in stack.named_parameters())
+    return sum(t.size for _, t in stack.named_parameters())
 
 
 class TestConfig:
@@ -111,7 +111,7 @@ class TestBlock:
         rng = np.random.default_rng(8)
         block = init_block(rng, cfg)
         block.w_out.data[:] = 0.0
-        block.w_mlp2.data[:] = 0.0
+        block.mlp.w2.data[:] = 0.0
         z = rand_tokens(rng, 5, 8)
         npt.assert_array_equal(transformer_block(z, block).data, z.data)
 
@@ -136,7 +136,7 @@ class TestStack:
         stack = init_stack(rng, cfg)
         z = rand_tokens(rng, 4, 8)
         manual = T.layer_norm(transformer_block(z, stack.blocks[0]),
-                              stack.ln_f_gain, stack.ln_f_bias)
+                              stack.ln_f.gain, stack.ln_f.bias)
         npt.assert_array_equal(encoder_stack(z, stack).data, manual.data)
 
     def test_two_layers_equal_manual_composition(self, cfg):
@@ -145,7 +145,7 @@ class TestStack:
         z = rand_tokens(rng, 4, 8)
         h = transformer_block(z, stack.blocks[0])
         h = transformer_block(h, stack.blocks[1])
-        manual = T.layer_norm(h, stack.ln_f_gain, stack.ln_f_bias)
+        manual = T.layer_norm(h, stack.ln_f.gain, stack.ln_f.bias)
         npt.assert_array_equal(encoder_stack(z, stack).data, manual.data)
 
     def test_param_count_matches_enumeration(self):
@@ -186,9 +186,9 @@ class TestStack:
         stack = init_stack(rng, cfg)
         for block in stack.blocks:
             block.w_out.data[:] = 0.0
-            block.w_mlp2.data[:] = 0.0
+            block.mlp.w2.data[:] = 0.0
         z = rand_tokens(rng, 5, 8)
-        expected = T.layer_norm(z, stack.ln_f_gain, stack.ln_f_bias)
+        expected = T.layer_norm(z, stack.ln_f.gain, stack.ln_f.bias)
         npt.assert_array_equal(encoder_stack(z, stack).data, expected.data)
 
     def test_shared_stack_gradient_accumulates_on_shared_weights(self):
