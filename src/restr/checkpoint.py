@@ -132,29 +132,23 @@ def load_checkpoint(path) -> tuple[ModelConfig, RestrParams, dict | None]:
     if n_params != len(named):
         raise CheckpointError(f"{p} holds {n_params} parameters, "
                               f"config implies {len(named)}")
-    by_name = dict(named)
-    stored: list[tuple[str, tuple[int, ...]]] = []
-    for _ in range(n_params):
-        name = r.text("a parameter name")
+    for name, t in named:  # in the order save_checkpoint writes them
+        stored = r.text("a parameter name")
+        if stored != name:
+            raise CheckpointError(f"{p}: found parameter {stored!r} where {name!r} belongs")
         ndim = r.u32()
         shape = struct.unpack(f"<{ndim}I", r.take(4 * ndim))
-        if any(name == seen for seen, _ in stored):
-            raise CheckpointError(f"{p}: parameter {name!r} appears twice")
-        t = by_name.get(name)
-        if t is None:
-            raise CheckpointError(f"{p}: unexpected parameter {name!r}")
-        if tuple(shape) != t.data.shape:
+        if shape != t.data.shape:
             raise CheckpointError(f"{p}: parameter {name!r} has shape {shape}, "
                                   f"config implies {t.data.shape}")
         t.data = r.floats(shape, f"parameter {name!r}")
-        stored.append((name, shape))
 
     has_opt = struct.unpack("<B", r.take(1))[0]
     opt_state = None
     if has_opt:
         step = struct.unpack("<Q", r.take(8))[0]
-        m = [r.floats(s, f"AdamW m of {name!r}") for name, s in stored]
-        v = [r.floats(s, f"AdamW v of {name!r}") for name, s in stored]
+        m = [r.floats(t.data.shape, f"AdamW m of {name!r}") for name, t in named]
+        v = [r.floats(t.data.shape, f"AdamW v of {name!r}") for name, t in named]
         opt_state = {"step": int(step), "m": m, "v": v}
     if r.pos != len(r.blob):
         raise CheckpointError(f"{p}: {len(r.blob) - r.pos} trailing bytes")

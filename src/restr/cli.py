@@ -29,7 +29,7 @@ from .fusion import FusionVariant, attention_probe, profile_all
 from .gradcheck import check_all_ops, check_model_gradients
 from .metrics import DEFAULT_BUCKETS, evaluate_model
 from .render import render_sample
-from .runconfig import (ALL_KEYS, MODEL_KEYS, UsageError, build_configs, load_config_file,
+from .runconfig import (ALL_KEYS, UsageError, build_configs, load_config_file,
                         parse_config_text, serialize_model_config)
 from .training import AdamW, NonFiniteLossError, TrainConfig, check_stop_at_iou, train
 from .transformer import ConfigError
@@ -113,44 +113,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _configs_for_dataset(overrides: dict[str, str],
-                         dataset: dsmod.Dataset) -> tuple[ModelConfig, TrainConfig]:
-    overrides = dict(overrides)
-    vocab_size = str(len(dataset.vocab))
-    if overrides.setdefault("vocab_size", vocab_size) != vocab_size:
-        raise UsageError(f"vocab_size {overrides['vocab_size']} does not match "
-                         f"dataset vocabulary of {vocab_size}")
-    h = str(dataset.samples[0].image.shape[0])
-    w = str(dataset.samples[0].image.shape[1])
-    overrides.setdefault("image_h", h)
-    overrides.setdefault("image_w", w)
-    return build_configs(overrides)
-
-
-def _check_dataset_fits(ckpt_cfg: ModelConfig, dataset: dsmod.Dataset) -> None:
-    """Raise UsageError unless the keys that ``_configs_for_dataset`` takes
-    from a dataset (vocabulary and image size) match the checkpoint's."""
-    h, w = dataset.samples[0].image.shape[:2]
-    for key, value in (("vocab_size", len(dataset.vocab)), ("image_h", h), ("image_w", w)):
-        if value != getattr(ckpt_cfg, key):
-            raise UsageError(f"dataset {key} {value} does not match the checkpoint's "
-                             f"{key} {getattr(ckpt_cfg, key)}")
-
-
-def _resume_train_config(ckpt_cfg: ModelConfig, overrides: dict[str, str],
-                         dataset: dsmod.Dataset) -> TrainConfig:
-    """The train config of a resumed run. The checkpoint fixes the model:
-    a dataset it does not fit, or a model-key override that differs from it,
-    is a usage error naming the key."""
-    _check_dataset_fits(ckpt_cfg, dataset)
+def _fixed_keys(dataset: dsmod.Dataset,
+                ckpt_cfg: ModelConfig | None = None) -> tuple[dict[str, str], str]:
+    """The model keys a run may not change, as config text, and what fixed
+    them. The dataset fixes the vocabulary and image shape; a checkpoint
+    fixes every model key, and must itself fit the dataset."""
+    h, w, c = (str(n) for n in dataset.samples[0].image.shape)
+    fixed = {"vocab_size": str(len(dataset.vocab)), "image_h": h, "image_w": w, "channels": c}
+    if ckpt_cfg is None:
+        return fixed, "dataset's"
     have = parse_config_text(serialize_model_config(ckpt_cfg))
-    requested, train_cfg = _configs_for_dataset({**have, **overrides}, dataset)
-    want = parse_config_text(serialize_model_config(requested))
-    for key in MODEL_KEYS:
-        if want[key] != have[key]:
-            raise UsageError(f"--{key} {want[key]} does not match the checkpoint's "
+    for key, value in fixed.items():
+        if value != have[key]:
+            raise UsageError(f"dataset {key} {value} does not match the checkpoint's "
                              f"{key} {have[key]}")
-    return train_cfg
+    return have, "checkpoint's"
+
+
+def _configs_for_dataset(overrides: dict[str, str], dataset: dsmod.Dataset,
+                         ckpt_cfg: ModelConfig | None = None
+                         ) -> tuple[ModelConfig, TrainConfig]:
+    """Configs from the fixed keys, then the overrides; an override that
+    changes a fixed key is a usage error naming the key."""
+    fixed, source = _fixed_keys(dataset, ckpt_cfg)
+    model_cfg, train_cfg = build_configs({**fixed, **overrides})
+    want = parse_config_text(serialize_model_config(model_cfg))
+    for key, have in fixed.items():
+        if want[key] != have:
+            raise UsageError(f"--{key} {want[key]} does not match the {source} {key} {have}")
+    return model_cfg, train_cfg
 
 
 def cmd_gen(args) -> int:
@@ -172,16 +163,15 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     dataset = dsmod.load(args.data)
     overrides = _collect_overrides(args)
+    ckpt_cfg = params = opt_state = None
     if args.resume:
-        model_cfg, params, opt_state = load_checkpoint(args.resume)
-        train_cfg = _resume_train_config(model_cfg, overrides, dataset)
-        optimizer = AdamW(params.named_parameters(), train_cfg)
-        if opt_state is not None:
-            optimizer.load_state(opt_state)
-    else:
-        model_cfg, train_cfg = _configs_for_dataset(overrides, dataset)
+        ckpt_cfg, params, opt_state = load_checkpoint(args.resume)
+    model_cfg, train_cfg = _configs_for_dataset(overrides, dataset, ckpt_cfg)
+    if params is None:
         params = init_model(np.random.default_rng(train_cfg.seed), model_cfg)
-        optimizer = AdamW(params.named_parameters(), train_cfg)
+    optimizer = AdamW(params.named_parameters(), train_cfg)
+    if opt_state is not None:
+        optimizer.load_state(opt_state)
     check_stop_at_iou(args.stop_at_iou, train_cfg)
     out = Path(args.out)  # made only once the input is accepted
     out.mkdir(parents=True, exist_ok=True)
@@ -209,7 +199,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model_cfg, params, _ = load_checkpoint(args.ckpt)
     dataset = dsmod.load(args.data)
-    _check_dataset_fits(model_cfg, dataset)
+    _fixed_keys(dataset, model_cfg)
     report = evaluate_model(params, model_cfg, dataset.samples, buckets=args.buckets)
     print(report.text_table())
     if args.out:
@@ -299,7 +289,7 @@ def cmd_profile(args) -> int:
 def cmd_render(args) -> int:
     model_cfg, params, _ = load_checkpoint(args.ckpt)
     dataset = dsmod.load(args.data)
-    _check_dataset_fits(model_cfg, dataset)
+    _fixed_keys(dataset, model_cfg)
     try:
         ids = [int(part) for part in args.ids.split(",") if part.strip()]
     except ValueError as exc:

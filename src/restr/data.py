@@ -61,8 +61,8 @@ class AmbiguityError(ValueError):
 
 
 class DataFormatError(RuntimeError):
-    """A dataset directory is missing, truncated, of an unknown version, or
-    holds non-finite pixels."""
+    """A dataset directory is missing, truncated, of an unknown version, out
+    of id order, mixes image sizes, or holds non-finite pixels."""
 
 
 @dataclass(frozen=True)
@@ -311,7 +311,8 @@ def save(dataset: Dataset, out_dir) -> None:
 
 
 def load(data_dir) -> Dataset:
-    """Inverse of :func:`save`; fails loudly on corrupt or unknown data.
+    """Inverse of :func:`save`; fails loudly on corrupt or unknown data. Ids
+    run 0..n-1 in line order, and every image has sample 0's size.
 
     Samples keep the stored types, 13 bytes per pixel: writable float32
     (H, W, 3) images and uint8 (H, W, 1) masks. A batch becomes float64 where
@@ -340,17 +341,20 @@ def load(data_dir) -> Dataset:
     except (OSError, ValueError) as exc:
         raise DataFormatError(f"unreadable vocabulary: {exc}") from exc
     samples: list[Sample] = []
-    seen: set[int] = set()
-    for line in lines[1:]:
+    for position, line in enumerate(lines[1:]):
         fields = line.split()
         if len(fields) < 4 or not all(_DECIMAL.fullmatch(f) for f in fields):
             raise DataFormatError(f"malformed index line {line!r}")
         sid, h, w = int(fields[0]), int(fields[1]), int(fields[2])
+        if sid != position:
+            raise DataFormatError(f"sample id {sid} listed at position {position} of "
+                                  f"{index_path}; ids run 0..n-1 in line order")
         if h < 1 or w < 1:
             raise DataFormatError(f"sample {sid}: image size {h}x{w} is not positive")
-        if sid in seen:
-            raise DataFormatError(f"sample id {sid} appears twice in {index_path}")
-        seen.add(sid)
+        h0, w0 = samples[0].image.shape[:2] if samples else (h, w)
+        if (h, w) != (h0, w0):
+            raise DataFormatError(f"sample {sid}: image size {h}x{w} differs from "
+                                  f"sample 0's {h0}x{w0}")
         token_ids = [int(v) for v in fields[3:]]
         for t in token_ids:
             if not 0 <= t < len(vocab):

@@ -220,7 +220,8 @@ class TestCheckpoint:
         assert blob.count(old) == 1
         path.write_bytes(blob.replace(old, b"vision.stack.blocks.1.mlp.w1"))
         with pytest.raises(CheckpointError,
-                           match=re.escape("'vision.stack.blocks.1.mlp.w1' appears twice")):
+                           match=re.escape("found parameter 'vision.stack.blocks.1.mlp.w1' "
+                                           "where 'vision.stack.blocks.0.mlp.w1' belongs")):
             load_checkpoint(path)
 
     def test_missing_file(self, tmp_path):

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import re
 import shutil
 
 import numpy as np
@@ -11,7 +12,7 @@ import restr.tensor as T
 from restr import decoder, training
 from restr.checkpoint import load_checkpoint, save_checkpoint
 from restr.cli import main
-from restr.data import VOCABULARY, generate, load, save
+from restr.data import VOCABULARY, DataFormatError, Dataset, generate, load, save
 from restr.training import segmentation_loss
 
 from conftest import read_pgm, read_ppm
@@ -216,6 +217,25 @@ class TestTrain:
         assert self.resume(trained, data, tmp_path / "o") == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["train"], ["ablate", "--what", "variant"]])
+    @pytest.mark.parametrize("key,value,have", [("image_h", "32", "64"), ("channels", "1", "3")])
+    def test_image_shape_override_is_checked_before_out(self, tmp_path, misfit_data,
+                                                        monkeypatch, capsys, command,
+                                                        key, value, have):
+        # train made --out, then failed at the first forward on the batch shape
+        data, _ = misfit_data["size"]
+        monkeypatch.setattr(training, "forward", no_forward)
+        assert main([*command, "--data", str(data), "--out", str(tmp_path / "o"),
+                     "--total_iters", "2", *TRAIN_FLAGS, f"--{key}", value]) == 1
+        assert (f"--{key} {value} does not match the dataset's {key} {have}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+    def test_vocab_size_compared_as_a_number(self, tmp_path, dataset_dir):
+        assert main(["train", "--data", str(dataset_dir), "--out", str(tmp_path / "o"),
+                     "--quiet", "--total_iters", "2", *TRAIN_FLAGS,
+                     "--vocab_size", f"0{len(VOCABULARY)}"]) == 0
+
     def test_nan_weight_stops_training(self, tmp_path, trained, dataset_dir, capsys):
         bad = nan_weight_checkpoint(trained, tmp_path)
         assert main(["train", "--data", str(dataset_dir), "--out", str(tmp_path / "o"),
@@ -352,7 +372,42 @@ class TestEval:
         assert blob.count(old) == 1
         bad.write_bytes(blob.replace(old, b"vision.stack.blocks.1.mlp.w1"))
         assert main(["eval", "--ckpt", str(bad), "--data", str(dataset_dir)]) == 2
-        assert "'vision.stack.blocks.1.mlp.w1' appears twice" in capsys.readouterr().err
+        assert ("found parameter 'vision.stack.blocks.1.mlp.w1' where "
+                "'vision.stack.blocks.0.mlp.w1' belongs" in capsys.readouterr().err)
+
+    def test_permuted_records(self, tmp_path, trained, dataset_dir, monkeypatch, capsys):
+        # Two records swapped with their AdamW m/v blobs: each tensor loaded
+        # the other's moments.
+        cfg, params, state = load_checkpoint(trained / "checkpoint.rstr")
+        named = params.named_parameters()
+        i = [n for n, _ in named].index("vision.stack.blocks.0.ln1.gain")
+        assert named[i + 1][0] == "vision.stack.blocks.0.ln1.bias"
+        order = [*range(i), i + 1, i, *range(i + 2, len(named))]
+        monkeypatch.setattr(params, "named_parameters", lambda: [named[k] for k in order])
+        state = {"step": state["step"], "m": [state["m"][k] for k in order],
+                 "v": [state["v"][k] for k in order]}
+        save_checkpoint(tmp_path / "perm.rstr", cfg, params, state)
+        assert main(["eval", "--ckpt", str(tmp_path / "perm.rstr"),
+                     "--data", str(dataset_dir)]) == 2
+        assert ("found parameter 'vision.stack.blocks.0.ln1.bias' where "
+                "'vision.stack.blocks.0.ln1.gain' belongs" in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("mixed_sizes", [True, False])
+    def test_dataset_index_faults(self, tmp_path, trained, capsys, mixed_sizes):
+        bad = tmp_path / "bad"
+        if mixed_sizes:
+            save(Dataset(generate(3, 2, 32, 32).samples + generate(3, 2, 64, 64).samples), bad)
+            message = "sample 2: image size 64x64 differs from sample 0's 32x32"
+        else:  # ids 0, 5, 2: loaded as 3 samples, which --ids and ious.csv count by position
+            save(generate(3, 6, 32, 32), bad)
+            lines = (bad / "index.txt").read_text().splitlines()
+            (bad / "index.txt").write_text("\n".join(lines[k] for k in (0, 1, 6, 3)) + "\n")
+            message = "sample id 5 listed at position 1"
+        with pytest.raises(DataFormatError, match=re.escape(message)):
+            load(bad)
+        assert main(["eval", "--ckpt", str(trained / "checkpoint.rstr"),
+                     "--data", str(bad)]) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("old,new", [(b"image_h", b"Xmage_h"),
                                          (b"patch_size = 4", b"patch_size = 3"),
