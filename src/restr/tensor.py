@@ -27,12 +27,41 @@ attention call appends its row-stochastic (..., h, n, n) probabilities.
 from __future__ import annotations
 
 import contextlib
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import threading
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf
+
+
+def _load_erf():
+    """scipy's ``erf`` ufunc, loaded from the extension module that defines
+    it without importing scipy.special, whose package import loads dozens of
+    other scipy modules. ``find_spec`` locates scipy without importing it.
+    The module is registered under its own name, so a later ``import
+    scipy.special`` reuses it and ``scipy.special.erf`` is this very ufunc.
+    A scipy without that module, or without ``erf`` in it, takes the plain
+    import."""
+    name = "scipy.special._special_ufuncs"
+    scipy = importlib.util.find_spec("scipy")
+    path = scipy and os.path.join(scipy.submodule_search_locations[0], "special",
+                                  "_special_ufuncs" + importlib.machinery.EXTENSION_SUFFIXES[0])
+    if name not in sys.modules and path and os.path.isfile(path):
+        loader = importlib.machinery.ExtensionFileLoader(name, path)
+        module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+        loader.exec_module(module)
+        sys.modules[name] = module
+    erf = getattr(sys.modules.get(name), "erf", None)
+    if erf is None:
+        from scipy.special import erf
+    return erf
+
+
+erf = _load_erf()
 
 BCE_CLAMP = 1e-7
 _LN_EPS = 1e-8
@@ -171,20 +200,25 @@ def reset_graph() -> None:
     _state.tape.clear()
 
 
+def _records(*inputs: Tensor) -> bool:
+    """Whether an op on ``inputs`` records a node: gradients are enabled and
+    some input requires one."""
+    return _state.grad_enabled and any(t.requires_grad for t in inputs)
+
+
 def _record(tag: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
             backward: Callable[[np.ndarray], Sequence]) -> Tensor:
-    """Wrap ``out_data`` and, when some input needs a gradient, record a node.
+    """Wrap ``out_data`` and, when :func:`_records` holds, record a node.
 
     ``backward(g)`` returns one gradient per input, in input order; the entry
     of an input that needs no gradient is ignored and may be None. The
     closure must not capture the input tensors, only the arrays and shapes
     its formulas read."""
-    slots = (tuple((t._node or t) if t.requires_grad else None for t in inputs)
-             if _state.grad_enabled else ())
     out = Tensor(out_data)
-    if any(s is not None for s in slots):
+    if _records(*inputs):
         out.requires_grad = True
-        out._node = _Node(tag, backward, slots)
+        out._node = _Node(tag, backward, tuple((t._node or t) if t.requires_grad else None
+                                               for t in inputs))
         _state.tape.append(out._node)
     return out
 
@@ -362,7 +396,7 @@ def attention(qkv: Tensor, heads: int) -> Tensor:
     np.multiply(acc[..., :dh], inv, out=out)
     if _state.maps is not None:
         _state.maps.append(exps * inv)
-    if _state.grad_enabled and qkv.requires_grad:
+    if _records(qkv):
         k = k.copy()  # backward reads k; a view would keep all of qkv alive
 
     def bwd(g: np.ndarray) -> tuple:
@@ -466,25 +500,25 @@ def scale(x: Tensor, c: float) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact (erf-based) GELU."""
-    cdf = x.data * _INV_SQRT2
+    """Exact (erf-based) GELU, x·Φ(x). A recorded call computes the
+    derivative Φ(x) + x·φ(x) in the forward and keeps only that array, not
+    x and Φ(x); its backward multiplies it by the output gradient in place,
+    as a node's backward runs once."""
+    xd = x.data
+    cdf = xd * _INV_SQRT2
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
-    xd = x.data
     out_data = xd * cdf
-
-    def bwd(g: np.ndarray) -> tuple:
-        slope = xd * xd
-        slope *= -0.5
-        np.exp(slope, out=slope)
-        slope *= _INV_SQRT2PI
-        slope *= xd
-        slope += cdf
-        slope *= g
-        return (slope,)
-
-    return _record("gelu", (x,), out_data, bwd)
+    if not _records(x):
+        return Tensor(out_data)
+    slope = xd * xd
+    slope *= -0.5
+    np.exp(slope, out=slope)
+    slope *= _INV_SQRT2PI
+    slope *= xd
+    slope += cdf
+    return _record("gelu", (x,), out_data, lambda g: (np.multiply(slope, g, out=slope),))
 
 
 def sigmoid(x: Tensor) -> Tensor:
