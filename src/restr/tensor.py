@@ -14,9 +14,13 @@ consumes, is freed as soon as the forward drops it. Intermediates never
 carry ``.grad``: their gradients accumulate on their nodes during the sweep,
 and only leaves keep one. ``backward`` and ``reset_graph`` release every
 node they pass, so a loss or prediction the caller still holds does not pin
-the graph. Values are float64 throughout. Data enters as float32 pixels
-and uint8 masks, widened when a batch becomes a tensor; checkpoints store
-float32 blobs.
+the graph. Under ``with new_tape():`` ops record on a fresh tape of their own,
+so part of a graph can be back-propagated and freed before the rest, whose
+backward then starts from the gradients that part's inputs received.
+
+Values are float64 throughout. Data enters as float32 pixels and uint8
+masks, widened when a batch becomes a tensor; checkpoints store float32
+blobs.
 
 Scoped collectors observe ops without changing them: inside ``with
 count_macs() as counter:`` matmul and attention add their multiply-accumulates
@@ -200,6 +204,18 @@ def reset_graph() -> None:
     _state.tape.clear()
 
 
+@contextlib.contextmanager
+def new_tape():
+    """Record into a fresh, empty tape in scope; the outer tape is left as
+    it was. Whatever the scope leaves unconsumed on the inner tape is
+    released on exit, on an exception too."""
+    with _scoped("tape", []):
+        try:
+            yield
+        finally:
+            reset_graph()
+
+
 def _records(*inputs: Tensor) -> bool:
     """Whether an op on ``inputs`` records a node: gradients are enabled and
     some input requires one."""
@@ -233,8 +249,13 @@ def _accum(slot: Tensor | _Node, g: np.ndarray) -> None:
     slot.grad = g if slot.grad is None else slot.grad + g
 
 
-def backward(loss: Tensor) -> None:
+def backward(loss: Tensor | None = None,
+             seeds: Sequence[tuple[Tensor, np.ndarray]] = ()) -> None:
     """Reverse-sweep the tape from ``loss``, populating ``grad`` on leaves.
+
+    The sweep also starts from ``seeds``, (recorded tensor, gradient of its
+    shape) pairs, as if the loss held the sum of the inner products ⟨t, g⟩;
+    seeds alone may stand in for the loss.
 
     Each node keeps only the arrays its backward reads. Its gradient,
     closure and slots are released right after its backward has run: every
@@ -247,17 +268,29 @@ def backward(loss: Tensor) -> None:
     nothing.
 
     The tape is consumed: a second backward on the same graph raises
-    :class:`GraphError`, as does a non-scalar or unrecorded loss.
+    :class:`GraphError`, as does a non-scalar or unrecorded loss, a leaf or
+    consumed seed, or neither a loss nor a seed.
     """
-    if loss.data.size != 1:
-        raise GraphError(f"backward needs a scalar loss, got shape {loss.shape}")
-    if loss._node is None:
-        raise GraphError("loss is a leaf tensor; no graph was recorded for it")
+    starts = list(seeds)
+    if loss is not None:
+        if loss.data.size != 1:
+            raise GraphError(f"backward needs a scalar loss, got shape {loss.shape}")
+        starts.append((loss, np.ones_like(loss.data)))
+    if not starts:
+        raise GraphError("backward needs a loss or a seed")
     tape = _state.tape
-    if loss._node.backward is None or not tape:
-        raise GraphError("graph already consumed; record a new forward pass first")
+    for t, g in starts:
+        if t._node is None:
+            raise GraphError(f"{'seed' if t is not loss else 'loss'} is a leaf tensor; "
+                             "no graph was recorded for it")
+        if t._node.backward is None or not tape:
+            raise GraphError("graph already consumed; record a new forward pass first")
+        if np.shape(g) != t.shape:
+            raise ShapeError(f"seed gradient of shape {np.shape(g)} for a tensor "
+                             f"of shape {t.shape}")
+    for t, g in starts:
+        _accum(t._node, g)
 
-    loss._node.grad = np.ones_like(loss.data)
     for node in reversed(tape):
         g, grads_of, slots = node.grad, node.backward, node.slots
         node.release()
@@ -509,16 +542,17 @@ def gelu(x: Tensor) -> Tensor:
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
-    out_data = xd * cdf
     if not _records(x):
-        return Tensor(out_data)
+        cdf *= xd
+        return Tensor(cdf)
     slope = xd * xd
     slope *= -0.5
     np.exp(slope, out=slope)
     slope *= _INV_SQRT2PI
     slope *= xd
     slope += cdf
-    return _record("gelu", (x,), out_data, lambda g: (np.multiply(slope, g, out=slope),))
+    cdf *= xd
+    return _record("gelu", (x,), cdf, lambda g: (np.multiply(slope, g, out=slope),))
 
 
 def sigmoid(x: Tensor) -> Tensor:

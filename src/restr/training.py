@@ -7,6 +7,9 @@ each term mean-reduced over its own elements. AdamW applies decoupled weight
 decay to a parameter when the last part of its name (its field path) starts
 with ``w``, as weight matrices do, or is ``embed``; biases, norm affines, the
 positional table ``pos`` and the class ``seed`` are exempt.
+
+A training step records the token stages as one graph over the batch, and
+the decoder and loss as one graph per sample (:func:`decoded_backward`).
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import tensor as T
+from . import decoder, tensor as T
 from .tensor import Tensor
-from .decoder import PredictionPair, RestrParams, encode, forward
+from .decoder import PredictionPair, RestrParams, encode
 from .encoders import ModelConfig, patchify
 from .transformer import ConfigError
 
@@ -234,6 +237,47 @@ def batch_indices(iteration: int, n_samples: int, batch_size: int,
     return order[slot * batch_size:(slot + 1) * batch_size]
 
 
+def check_finite_loss(iteration: int, loss_patch: float, loss_pixel: float) -> None:
+    """Raise NonFiniteLossError naming each loss term that is NaN or infinite."""
+    bad = [f"{name} term is {value}" for name, value
+           in (("patch", loss_patch), ("pixel", loss_pixel)) if not np.isfinite(value)]
+    if bad:
+        raise NonFiniteLossError(f"non-finite loss at iteration {iteration}: "
+                                 + ", ".join(bad))
+
+
+def decoded_backward(iteration: int, images: np.ndarray, token_ids: Sequence,
+                     y_p: np.ndarray, masks: np.ndarray, params: RestrParams,
+                     model_cfg: ModelConfig, lam: float) -> list[float]:
+    """Back-propagate a batch's mean :func:`segmentation_loss`, decoding one
+    sample at a time; returns the batch means of (total, patch, pixel term).
+
+    The token stages record one graph over the batch. Each sample's rows of
+    their outputs are leaves of a decoder-and-loss graph on a tape of its
+    own, back-propagated with weight 1/B and freed before the next sample is
+    decoded. The leaves' gradients then seed the token-stage backward. Every
+    sample of a dataset has the same size, so the mean of the samples' means
+    is the batch mean: the gradients are the one-graph ones up to rounding."""
+    outs = encode(images, token_ids, params, model_cfg)
+    grads = [np.empty_like(t.data) for t in outs]
+    terms = np.empty((len(images), 3))
+    for i in range(len(images)):
+        with T.new_tape():
+            leaves = [Tensor(t.data[i:i + 1], requires_grad=True) for t in outs]
+            pv, masked, probs = leaves
+            logits = decoder.decode_pixels(pv, masked, params.decoder, model_cfg)
+            total, patch_term, pixel_term = segmentation_loss(
+                PredictionPair(patch_probs=probs, pixel_logits=logits),
+                y_p[i:i + 1], masks[i:i + 1], lam)
+            terms[i] = total.item(), patch_term.item(), pixel_term.item()
+            check_finite_loss(iteration, terms[i, 1], terms[i, 2])
+            T.backward(T.scale(total, 1.0 / len(images)))
+        for g, leaf in zip(grads, leaves):
+            g[i] = leaf.grad[0]
+    T.backward(seeds=list(zip(outs, grads)))
+    return terms.mean(axis=0).tolist()
+
+
 def check_stop_at_iou(stop_at_iou: float | None, cfg: TrainConfig) -> None:
     """Raise ValueError unless :func:`train` can stop at ``stop_at_iou``."""
     if stop_at_iou is None:
@@ -253,10 +297,11 @@ def train(params: RestrParams, model_cfg: ModelConfig, cfg: TrainConfig,
     """Seeded mini-batch training loop.
 
     ``dataset`` items carry ``.image``, ``.token_ids`` and ``.mask``. Batches
-    follow the deterministic :func:`batch_indices` schedule; each batch is one
-    forward graph, and gradients come from one backward pass over the
-    batch-mean loss. Passing a resumed optimizer continues from its step count
-    with the identical schedule.
+    follow the deterministic :func:`batch_indices` schedule. Gradients are
+    those of the batch-mean loss: the token stages run over the batch as one
+    graph, and the decoder and the loss on each sample alone
+    (:func:`decoded_backward`). Passing a resumed optimizer continues from
+    its step count with the identical schedule.
     Periodic evaluation (cumulative IoU on the training set) runs every
     ``eval_every`` iterations; with ``stop_at_iou``, a threshold in (0, 1]
     that needs ``eval_every`` > 0, the loop exits early once reached.
@@ -295,27 +340,22 @@ def train(params: RestrParams, model_cfg: ModelConfig, cfg: TrainConfig,
         token_ids = [s.token_ids for s in batch]
         y_p = np.stack([labels[id(s)] for s in batch])
         if use_decoder:
-            pred = forward(images, token_ids, params, model_cfg)
             masks = np.stack([np.asarray(s.mask) for s in batch])
-            batch_loss, patch_term, pixel_term = segmentation_loss(pred, y_p, masks, cfg.lam)
-            loss_pixel = pixel_term.item()
+            loss_total, loss_patch, loss_pixel = decoded_backward(
+                iteration, images, token_ids, y_p, masks, params, model_cfg, cfg.lam)
         else:
             _, _, patch_probs = encode(images, token_ids, params, model_cfg)
-            batch_loss = patch_term = T.bce(patch_probs, Tensor(y_p))
+            patch_term = T.bce(patch_probs, Tensor(y_p))
+            loss_total = loss_patch = patch_term.item()
             loss_pixel = 0.0
-        loss_patch = patch_term.item()
-        bad = [f"{name} term is {value}" for name, value
-               in (("patch", loss_patch), ("pixel", loss_pixel)) if not np.isfinite(value)]
-        if bad:
-            raise NonFiniteLossError(f"non-finite loss at iteration {iteration}: "
-                                     + ", ".join(bad))
-        T.backward(batch_loss)
+            check_finite_loss(iteration, loss_patch, loss_pixel)
+            T.backward(patch_term)
         lr = lr_at(iteration, cfg)
         grad_norm = opt.step(lr)
         wall_s = time.perf_counter() - started
 
         row = TrainLogRow(iteration=iteration, lr=lr,
-                          loss_total=batch_loss.item(),
+                          loss_total=loss_total,
                           loss_patch=loss_patch,
                           loss_pixel=loss_pixel,
                           grad_norm=grad_norm,

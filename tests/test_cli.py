@@ -224,7 +224,7 @@ class TestTrain:
                                                         key, value, have):
         # train made --out, then failed at the first forward on the batch shape
         data, _ = misfit_data["size"]
-        monkeypatch.setattr(training, "forward", no_forward)
+        monkeypatch.setattr(training, "encode", no_forward)
         assert main([*command, "--data", str(data), "--out", str(tmp_path / "o"),
                      "--total_iters", "2", *TRAIN_FLAGS, f"--{key}", value]) == 1
         assert (f"--{key} {value} does not match the dataset's {key} {have}"

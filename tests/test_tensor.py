@@ -589,6 +589,82 @@ class TestBackward:
         npt.assert_array_equal(x.grad, [1.0, 1.0])
 
 
+class TestSeededBackward:
+    """``backward`` from (tensor, gradient) seeds, and graphs recorded on a
+    tape of their own under ``new_tape``."""
+
+    @staticmethod
+    def _graph(seed):
+        rng = np.random.default_rng(seed)
+        x, w = tensor(rng.standard_normal((3, 4))), tensor(rng.standard_normal((4, 5)))
+        h = T.gelu(T.matmul(x, w))
+        return (x, w), h, T.sigmoid(h), rng.standard_normal((2, 3, 5))
+
+    @pytest.mark.parametrize("with_loss", [False, True], ids=["seeds", "loss+seed"])
+    def test_seeds_equal_the_inner_product_loss(self, with_loss):
+        # seeding (h, gh) and (s, gs) is the backward of ⟨h, gh⟩ + ⟨s, gs⟩
+        leaves, h, s, (gh, gs) = self._graph(40)
+        if with_loss:
+            T.backward(T.sum_all(T.hadamard(s, Tensor(gs))), seeds=[(h, gh)])
+        else:
+            T.backward(seeds=[(h, gh), (s, gs)])
+        ref_leaves, h, s, _ = self._graph(40)
+        T.backward(T.sum_all(T.hadamard(h, Tensor(gh)))
+                   + T.sum_all(T.hadamard(s, Tensor(gs))))
+        for got, want in zip(leaves, ref_leaves):
+            npt.assert_array_equal(got.grad, want.grad)
+
+    def test_graph_split_by_a_new_tape_equals_one_graph(self):
+        # the tail recorded, back-propagated and freed on its own tape, then
+        # the head swept from the gradient its input received
+        def tail(h, w2):
+            return T.sum_all(T.sigmoid(T.matmul(h, w2)))
+
+        w2 = tensor(np.random.default_rng(41).standard_normal((5, 2)))
+        leaves, h, _, _ = self._graph(41)
+        with T.new_tape():
+            h_leaf = Tensor(h.data, requires_grad=True)
+            T.backward(tail(h_leaf, w2))
+        T.backward(seeds=[(h, h_leaf.grad)])
+        split = [t.grad for t in (*leaves, w2)]
+        w2.grad = None
+        ref_leaves, h, _, _ = self._graph(41)
+        T.backward(tail(h, w2))
+        for got, want in zip(split, [t.grad for t in (*ref_leaves, w2)]):
+            npt.assert_array_equal(got, want)
+
+    def test_leaf_consumed_and_missing_seeds_rejected(self):
+        x = tensor(np.ones((2, 2)))
+        with pytest.raises(GraphError, match="leaf"):
+            T.backward(seeds=[(x, np.ones((2, 2)))])
+        y = T.hadamard(x, x)
+        with pytest.raises(ShapeError):
+            T.backward(seeds=[(y, np.ones((2, 1)))])
+        T.backward(seeds=[(y, np.ones((2, 2)))])
+        npt.assert_array_equal(x.grad, np.full((2, 2), 2.0))
+        with pytest.raises(GraphError, match="consumed"):
+            T.backward(seeds=[(y, np.ones((2, 2)))])
+        with pytest.raises(GraphError, match="loss or a seed"):
+            T.backward()
+
+    def test_exception_in_new_tape_releases_it_and_keeps_the_outer(self):
+        x = tensor([1.0, 2.0])
+        outer = T.sum_all(T.hadamard(x, x))
+        with pytest.raises(ZeroDivisionError):
+            with T.new_tape():
+                probs = T.sigmoid(x)
+                ref = weakref.ref(probs.data)  # the sigmoid's backward reads it
+                inner = T.sum_all(probs)
+                del probs
+                assert ref() is not None
+                1 / 0
+        assert inner.op == "sum_all" and inner._node.backward is None
+        assert ref() is None
+        assert outer._node.backward is not None  # still pending on the outer tape
+        T.reset_graph()
+        assert outer._node.backward is None
+
+
 class TestTapeMemory:
     """The tape keeps only the arrays backward reads, and a consumed graph
     keeps nothing, however long the caller holds its loss."""

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -453,6 +454,83 @@ class TestBatchInvariance:
                 batched = forward(images[order], [ids[i] for i in order],
                                   params, cfg).pixel_logits.data[pos]
                 npt.assert_allclose(batched, alone, rtol=0, atol=1e-12)
+
+
+class TestPerSampleDecoder:
+    """``train`` decodes each sample on a tape of its own and seeds the
+    token-stage backward with the gradients the decoders return: the same
+    gradients and losses as one graph over the batch, at a lower peak."""
+
+    TC = dict(base_lr=5e-4, warmup_iters=20, total_iters=3000, seed=0)
+
+    @staticmethod
+    def _a5(count):
+        cfg = ModelConfig(vocab_size=len(VOCABULARY), **A5)
+        return cfg, init_model(np.random.default_rng(0), cfg), generate(5, count, 64, 64).samples
+
+    @staticmethod
+    def _one_graph_step(params, cfg, tc, samples, iteration):
+        """The batch's loss and gradients from forward + segmentation_loss +
+        backward, one graph over the whole batch."""
+        batch = [samples[i] for i in batch_indices(iteration, len(samples),
+                                                   tc.batch_size, tc.seed)]
+        masks = np.stack([s.mask for s in batch])
+        y_p = np.stack([patch_labels(m, cfg.patch_size, tc.tau) for m in masks])
+        named = params.named_parameters()
+        for _, t in named:
+            t.grad = None
+        T.reset_graph()
+        total, _, _ = segmentation_loss(
+            forward(np.stack([s.image for s in batch]), [s.token_ids for s in batch],
+                    params, cfg), y_p, masks, tc.lam)
+        T.backward(total)
+        return total.item(), {name: t.grad for name, t in named}
+
+    @pytest.mark.parametrize("count,batch_size,iteration,size",
+                             [(16, 8, 1, 8), (10, 4, 3, 2)],
+                             ids=["batch8", "partial-last-batch"])
+    def test_step_gradients_equal_one_graph(self, count, batch_size, iteration, size):
+        cfg, params, samples = self._a5(count)
+        tc = TrainConfig(batch_size=batch_size, **self.TC)
+        assert len(batch_indices(iteration, count, batch_size, tc.seed)) == size
+        loss, want = self._one_graph_step(params, cfg, tc, samples, iteration)
+        opt = AdamW(params.named_parameters(), tc)
+        opt.step_count = iteration - 1  # train() runs this iteration's batch
+        res = train(params, cfg, tc, samples, stop_after=iteration, optimizer=opt)
+        assert abs(res.rows[0].loss_total - loss) <= 1e-12 * loss
+        for name, t in params.named_parameters():
+            scale = np.abs(want[name]).max()
+            assert np.abs(t.grad - want[name]).max() <= 1e-12 * scale, name
+
+    def test_losses_of_a_run_equal_one_graph_training(self):
+        cfg, params, samples = self._a5(16)
+        tc = TrainConfig(batch_size=8, **self.TC)
+        res = train(params, cfg, tc, samples, stop_after=20)
+        _, params, _ = self._a5(16)
+        opt = AdamW(params.named_parameters(), tc)
+        want = []
+        for iteration in range(1, 21):
+            want.append(self._one_graph_step(params, cfg, tc, samples, iteration)[0])
+            opt.step(lr_at(iteration, tc))
+        got = [r.loss_total for r in res.rows]
+        assert len(got) == 20
+        for a, b in zip(got, want):
+            assert abs(a - b) <= 1e-12 * b
+
+    def test_a5_step_peaks_under_36_mib(self):
+        # Batch-8 A5: 47.2 MiB with every sample's pixel grids on one tape,
+        # about 28 MiB with one sample's at a time.
+        cfg, params, samples = self._a5(16)
+        tc = TrainConfig(batch_size=8, **self.TC)
+        opt = AdamW(params.named_parameters(), tc)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            train(params, cfg, tc, samples, stop_after=1, optimizer=opt)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 36 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB at the step's peak"
 
 
 # The no-grad pixel logits of one model, then every parameter gradient of its
