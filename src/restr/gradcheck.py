@@ -3,7 +3,8 @@
 Central differences at step ``eps`` are compared against tape gradients,
 elementwise, as relative errors. ``check_all_ops`` sweeps every
 differentiable operation over random shapes and seeds; ``check_model_gradients``
-spot-checks sampled parameters of the full network through the training loss.
+spot-checks sampled parameters of the full network through the gradients of
+a training step (``training.decoded_backward``) on a two-sample batch.
 """
 
 from __future__ import annotations
@@ -59,15 +60,30 @@ def _rel_err(a: np.ndarray, n: np.ndarray) -> float:
     return float(np.max(np.abs(a - n) / denom)) if a.size else 0.0
 
 
-def grad_check(f: Callable[..., Tensor], inputs: Sequence[Tensor],
-               eps: float = 1e-5, tol: float = 1e-4,
-               names: Sequence[str] | None = None) -> GradCheckReport:
-    """Compare tape gradients of scalar-valued ``f`` against central differences.
+def _central_difference(value: Callable[[], float], array: np.ndarray, index: int,
+                        eps: float) -> float:
+    """Central difference of ``value()`` in ``array.flat[index]``, which is
+    restored afterwards."""
+    keep = array.flat[index]
+    array.flat[index] = keep + eps
+    up = value()
+    array.flat[index] = keep - eps
+    down = value()
+    array.flat[index] = keep
+    return (up - down) / (2.0 * eps)
 
-    Every element of every input is perturbed by ``+-eps``; ``f`` must be
-    deterministic. Inputs are flagged ``requires_grad`` for the duration.
+
+def grad_check(f: Callable[..., Tensor], inputs: Sequence[Tensor], weight_seed: int = 0,
+               eps: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
+    """Compare tape gradients of ⟨f(inputs), w⟩, the backward seeded with
+    ``w``, against central differences; one report entry per input.
+
+    A scalar output is checked as it is (w = 1). Any other output gets a fixed
+    standard-normal ``w`` drawn from ``weight_seed``, so that transposed or
+    mis-routed backward rules cannot cancel out. Every element of every input
+    is perturbed by ``+-eps``; ``f`` must be deterministic. Inputs are flagged
+    ``requires_grad`` for the duration.
     """
-    names = list(names) if names is not None else [f"input{i}" for i in range(len(inputs))]
     prior_flags = [t.requires_grad for t in inputs]
     for t in inputs:
         t.requires_grad = True
@@ -75,23 +91,20 @@ def grad_check(f: Callable[..., Tensor], inputs: Sequence[Tensor],
     try:
         T.reset_graph()
         out = f(*inputs)
-        T.backward(out)
+        w = np.ones(out.shape) if out.data.size == 1 else \
+            np.random.default_rng(weight_seed).standard_normal(out.shape)
+        T.backward(seeds=[(out, w)])
         analytic = [np.zeros_like(t.data) if t.grad is None else t.grad.copy()
                     for t in inputs]
 
+        def value() -> float:
+            return float((f(*inputs).data * w).sum())
+
         report = GradCheckReport(tol=tol)
         with T.no_grad():
-            for t, a, name in zip(inputs, analytic, names):
-                numeric = np.zeros_like(t.data)
-                for i in range(t.size):
-                    keep = t.data.flat[i]
-                    t.data.flat[i] = keep + eps
-                    up = f(*inputs).item()
-                    t.data.flat[i] = keep - eps
-                    down = f(*inputs).item()
-                    t.data.flat[i] = keep
-                    numeric.flat[i] = (up - down) / (2.0 * eps)
-                report.entries.append(CheckEntry(name, _rel_err(a, numeric)))
+            for k, (t, a) in enumerate(zip(inputs, analytic)):
+                numeric = [_central_difference(value, t.data, i, eps) for i in range(t.size)]
+                report.entries.append(CheckEntry(f"input{k}", _rel_err(a.ravel(), numeric)))
         return report
     finally:
         for t, flag in zip(inputs, prior_flags):
@@ -99,32 +112,14 @@ def grad_check(f: Callable[..., Tensor], inputs: Sequence[Tensor],
             t.grad = None
 
 
-def scalarized(f_raw: Callable[..., Tensor], weight_seed: int) -> Callable[..., Tensor]:
-    """Wrap a tensor-valued function into a deterministic weighted-sum scalar.
-
-    Random (but fixed) weights make the output adjoint non-uniform, so
-    transposed or mis-routed backward rules cannot cancel out.
-    """
-    cache: dict[str, Tensor] = {}
-
-    def f(*inputs: Tensor) -> Tensor:
-        out = f_raw(*inputs)
-        if "w" not in cache:
-            cache["w"] = Tensor(np.random.default_rng(weight_seed).standard_normal(out.shape))
-        return T.sum_all(T.hadamard(out, cache["w"]))
-
-    return f
-
-
 def op_check_suite(seed: int, eps: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
     """One full sweep of per-operation finite-difference checks at ``seed``."""
     rng = np.random.default_rng(seed)
     report = GradCheckReport(tol=tol)
 
-    def run(name: str, f_raw, inputs, input_names=None, raw_scalar=False):
+    def run(name: str, f, inputs):
         # crc32, unlike hash(), is not salted per process, so runs repeat exactly.
-        f = f_raw if raw_scalar else scalarized(f_raw, seed ^ zlib.crc32(name.encode()) & 0xFFFF)
-        sub = grad_check(f, inputs, eps=eps, tol=tol, names=input_names)
+        sub = grad_check(f, inputs, seed ^ zlib.crc32(name.encode()) & 0xFFFF, eps=eps, tol=tol)
         report.entries.append(CheckEntry(name, sub.max_rel_err))
 
     m, k, n = (int(v) for v in rng.integers(2, 8, size=3))
@@ -146,8 +141,7 @@ def op_check_suite(seed: int, eps: float = 1e-5, tol: float = 1e-4) -> GradCheck
     run("layer_norm", lambda x, g, b: T.layer_norm(x, g, b),
         [Tensor(rng.standard_normal((5, d))),
          Tensor(rng.standard_normal(d) * 0.5 + 1.0),
-         Tensor(rng.standard_normal(d) * 0.1)],
-        ["x", "gain", "bias"])
+         Tensor(rng.standard_normal(d) * 0.1)])
 
     p, q = (int(v) for v in rng.integers(2, 6, size=2))
     run("add", lambda a, b: T.add(a, b),
@@ -188,11 +182,11 @@ def op_check_suite(seed: int, eps: float = 1e-5, tol: float = 1e-4) -> GradCheck
 
     target = Tensor(rng.integers(0, 2, size=(4, 3)).astype(float))
     run("bce", lambda pr: T.bce(pr, target),
-        [Tensor(rng.uniform(0.05, 0.95, size=(4, 3)))], ["pred"], raw_scalar=True)
+        [Tensor(rng.uniform(0.05, 0.95, size=(4, 3)))])
 
     run("scale", lambda x: T.scale(x, -1.7), [Tensor(rng.standard_normal((3, 3)))])
     run("sum_all", lambda x: T.sum_all(x),
-        [Tensor(rng.standard_normal((3, 4)))], raw_scalar=True)
+        [Tensor(rng.standard_normal((3, 4)))])
 
     # Token-major (B, n, 3·h·d_h) q/k/v, as self_attention's qkv matmul gives it.
     heads, n_tok, dh = 2, int(rng.integers(3, 7)), int(rng.integers(2, 4))
@@ -228,14 +222,18 @@ def check_all_ops(seeds: Sequence[int] = (0, 1, 2, 3, 4),
 
 def check_model_gradients(cfg=None, n_params: int = 50, seed: int = 0,
                           eps: float = 1e-5, tol: float = 1e-3) -> GradCheckReport:
-    """Spot-check the full forward+loss against finite differences.
+    """Spot-check the training step's gradients against finite differences.
 
-    Samples ``n_params`` scalar parameters across the whole network at a tiny
-    geometry and compares their loss gradients elementwise.
+    At a tiny geometry, a batch of two samples whose expressions differ in
+    length is back-propagated as ``train`` does it
+    (:func:`restr.training.decoded_backward`: batched token stages, one
+    decoder tape per sample, each weighted 1/B). ``n_params`` sampled scalar
+    parameters across the whole network are compared elementwise with
+    central differences of the batch-mean loss of the one-graph ``forward``.
     """
     from .decoder import forward, init_model
     from .encoders import ModelConfig
-    from .training import patch_labels, segmentation_loss
+    from .training import decoded_backward, patch_labels, segmentation_loss
 
     if cfg is None:
         cfg = ModelConfig(image_h=16, image_w=16, patch_size=4,
@@ -245,21 +243,20 @@ def check_model_gradients(cfg=None, n_params: int = 50, seed: int = 0,
                           dim_fusion=16, fusion_layers=2, heads=2)
     rng = np.random.default_rng(seed)
     params = init_model(rng, cfg)
-    image = rng.uniform(0.0, 1.0, size=(1, cfg.image_h, cfg.image_w, cfg.channels))
-    ids = [int(v) for v in rng.integers(2, cfg.vocab_size, size=4)]
-    mask = (rng.uniform(size=(cfg.image_h, cfg.image_w, 1)) < 0.3).astype(float)
-    y_p = patch_labels(mask, cfg.patch_size, tau=0.8)[None]
+    images = rng.uniform(0.0, 1.0, size=(2, cfg.image_h, cfg.image_w, cfg.channels))
+    ids = [[int(v) for v in rng.integers(2, cfg.vocab_size, size=n)] for n in (4, 2)]
+    masks = (rng.uniform(size=(2, cfg.image_h, cfg.image_w, 1)) < 0.3).astype(float)
+    y_p = np.stack([patch_labels(m, cfg.patch_size, tau=0.8) for m in masks])
 
-    def loss_value() -> Tensor:
-        pred = forward(image, [ids], params, cfg)
-        total, _, _ = segmentation_loss(pred, y_p, mask, lam=0.1)
-        return total
+    def loss_value() -> float:
+        total, _, _ = segmentation_loss(forward(images, ids, params, cfg), y_p, masks, lam=0.1)
+        return total.item()
 
     named = params.named_parameters()
     for _, t in named:
         t.grad = None
     T.reset_graph()
-    T.backward(loss_value())
+    decoded_backward(1, images, ids, y_p, masks, params, cfg, lam=0.1)
 
     # Deterministic sample of (tensor, element) pairs across all parameters.
     sizes = np.array([t.size for _, t in named])
@@ -273,13 +270,7 @@ def check_model_gradients(cfg=None, n_params: int = 50, seed: int = 0,
             name, t = named[pi]
             j = int(flat_pick - (cum[pi - 1] if pi else 0))
             a = 0.0 if t.grad is None else float(t.grad.flat[j])
-            keep = t.data.flat[j]
-            t.data.flat[j] = keep + eps
-            up = loss_value().item()
-            t.data.flat[j] = keep - eps
-            down = loss_value().item()
-            t.data.flat[j] = keep
-            numeric = (up - down) / (2.0 * eps)
+            numeric = _central_difference(loss_value, t.data, j, eps)
             report.entries.append(CheckEntry(f"{name}[{j}]", _rel_err(a, numeric)))
     for _, t in named:
         t.grad = None

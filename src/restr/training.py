@@ -254,7 +254,7 @@ def decoded_backward(iteration: int, images: np.ndarray, token_ids: Sequence,
 
     The token stages record one graph over the batch. Each sample's rows of
     their outputs are leaves of a decoder-and-loss graph on a tape of its
-    own, back-propagated with weight 1/B and freed before the next sample is
+    own, back-propagated from the seed 1/B and freed before the next sample is
     decoded. The leaves' gradients then seed the token-stage backward. Every
     sample of a dataset has the same size, so the mean of the samples' means
     is the batch mean: the gradients are the one-graph ones up to rounding."""
@@ -271,7 +271,7 @@ def decoded_backward(iteration: int, images: np.ndarray, token_ids: Sequence,
                 y_p[i:i + 1], masks[i:i + 1], lam)
             terms[i] = total.item(), patch_term.item(), pixel_term.item()
             check_finite_loss(iteration, terms[i, 1], terms[i, 2])
-            T.backward(T.scale(total, 1.0 / len(images)))
+            T.backward(seeds=[(total, np.full((), 1.0 / len(images)))])
         for g, leaf in zip(grads, leaves):
             g[i] = leaf.grad[0]
     T.backward(seeds=list(zip(outs, grads)))

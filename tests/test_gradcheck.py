@@ -1,4 +1,5 @@
-"""The finite-difference harness itself: reproducible across processes."""
+"""The finite-difference harness itself: reproducible across processes, and
+able to fail."""
 
 import os
 import subprocess
@@ -6,6 +7,8 @@ import sys
 from pathlib import Path
 
 import restr
+from restr import training
+from restr.gradcheck import check_model_gradients
 
 _SUITE = ("from restr.gradcheck import op_check_suite; "
           "print([(e.name, e.max_rel_err) for e in op_check_suite(0).entries])")
@@ -23,3 +26,22 @@ def test_op_suite_errors_do_not_depend_on_hash_seed():
     first = _suite_in_subprocess("1")
     assert "softmax" in first
     assert _suite_in_subprocess("2") == first
+
+
+def test_model_check_catches_a_dropped_batch_weight(monkeypatch):
+    # Back-propagating each sample's loss without its 1/B weight sums the
+    # samples' gradients instead of averaging them, so every gradient of the
+    # step comes out B times too large.
+    batch_mean = training.decoded_backward
+
+    def unweighted(iteration, images, token_ids, y_p, masks, params, model_cfg, lam):
+        terms = batch_mean(iteration, images, token_ids, y_p, masks, params, model_cfg, lam)
+        for _, t in params.named_parameters():
+            if t.grad is not None:
+                t.grad = t.grad * len(images)
+        return terms
+
+    monkeypatch.setattr(training, "decoded_backward", unweighted)
+    rep = check_model_gradients()
+    assert not rep.passed
+    assert rep.max_rel_err > 0.4
