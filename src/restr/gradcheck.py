@@ -1,16 +1,18 @@
 """Finite-difference verification of the autodiff engine.
 
-Central differences at step ``eps`` are compared against tape gradients,
-elementwise, as relative errors. ``check_all_ops`` sweeps every
-differentiable operation over random shapes and seeds; ``check_model_gradients``
-spot-checks sampled parameters of the full network through the gradients of
-a training step (``training.decoded_backward``) on a two-sample batch.
+Central differences at step ``EPS`` are compared against tape gradients,
+elementwise, as relative errors; each check returns its worst error and the
+caller holds the bound. ``check_all_ops`` (A1) sweeps every differentiable
+operation over random shapes at seeds 0-4, bound 1e-4; ``check_model_gradients``
+(A2) spot-checks 50 sampled parameters of a tiny network (seed 0, bound 1e-3)
+through the gradients of a training step (``training.decoded_backward``) on a
+two-sample batch.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -18,23 +20,18 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor
 
+EPS = 1e-5
 _REL_FLOOR = 1e-6
 
 
 @dataclass
-class CheckEntry:
-    name: str
-    max_rel_err: float
-
-
-@dataclass
 class GradCheckReport:
-    entries: list[CheckEntry] = field(default_factory=list)
-    tol: float = 1e-4
+    errors: dict[str, float]
+    tol: float
 
     @property
     def max_rel_err(self) -> float:
-        return max((e.max_rel_err for e in self.entries), default=0.0)
+        return max(self.errors.values(), default=0.0)
 
     @property
     def passed(self) -> bool:
@@ -42,9 +39,9 @@ class GradCheckReport:
 
     def lines(self) -> list[str]:
         out = []
-        for e in self.entries:
-            mark = "ok" if e.max_rel_err <= self.tol else "FAIL"
-            out.append(f"{mark:4s} {e.name:40s} max_rel_err={e.max_rel_err:.3e}")
+        for name, err in self.errors.items():
+            mark = "ok" if err <= self.tol else "FAIL"
+            out.append(f"{mark:4s} {name:40s} max_rel_err={err:.3e}")
         out.append(f"{'PASS' if self.passed else 'FAIL'} overall "
                    f"max_rel_err={self.max_rel_err:.3e} tol={self.tol:.1e}")
         return out
@@ -60,28 +57,27 @@ def _rel_err(a: np.ndarray, n: np.ndarray) -> float:
     return float(np.max(np.abs(a - n) / denom)) if a.size else 0.0
 
 
-def _central_difference(value: Callable[[], float], array: np.ndarray, index: int,
-                        eps: float) -> float:
+def _central_difference(value: Callable[[], float], array: np.ndarray, index: int) -> float:
     """Central difference of ``value()`` in ``array.flat[index]``, which is
     restored afterwards."""
     keep = array.flat[index]
-    array.flat[index] = keep + eps
+    array.flat[index] = keep + EPS
     up = value()
-    array.flat[index] = keep - eps
+    array.flat[index] = keep - EPS
     down = value()
     array.flat[index] = keep
-    return (up - down) / (2.0 * eps)
+    return (up - down) / (2.0 * EPS)
 
 
-def grad_check(f: Callable[..., Tensor], inputs: Sequence[Tensor], weight_seed: int = 0,
-               eps: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
-    """Compare tape gradients of ⟨f(inputs), w⟩, the backward seeded with
-    ``w``, against central differences; one report entry per input.
+def grad_check(f: Callable[..., Tensor], inputs: Sequence[Tensor], weight_seed: int = 0) -> float:
+    """Largest relative error, over every element of every input, between the
+    tape gradients of ⟨f(inputs), w⟩, the backward seeded with ``w``, and
+    central differences.
 
     A scalar output is checked as it is (w = 1). Any other output gets a fixed
     standard-normal ``w`` drawn from ``weight_seed``, so that transposed or
     mis-routed backward rules cannot cancel out. Every element of every input
-    is perturbed by ``+-eps``; ``f`` must be deterministic. Inputs are flagged
+    is perturbed by ``+-EPS``; ``f`` must be deterministic. Inputs are flagged
     ``requires_grad`` for the duration.
     """
     prior_flags = [t.requires_grad for t in inputs]
@@ -100,27 +96,25 @@ def grad_check(f: Callable[..., Tensor], inputs: Sequence[Tensor], weight_seed: 
         def value() -> float:
             return float((f(*inputs).data * w).sum())
 
-        report = GradCheckReport(tol=tol)
         with T.no_grad():
-            for k, (t, a) in enumerate(zip(inputs, analytic)):
-                numeric = [_central_difference(value, t.data, i, eps) for i in range(t.size)]
-                report.entries.append(CheckEntry(f"input{k}", _rel_err(a.ravel(), numeric)))
-        return report
+            return max(_rel_err(a.ravel(), [_central_difference(value, t.data, i)
+                                            for i in range(t.size)])
+                       for t, a in zip(inputs, analytic))
     finally:
         for t, flag in zip(inputs, prior_flags):
             t.requires_grad = flag
             t.grad = None
 
 
-def op_check_suite(seed: int, eps: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
-    """One full sweep of per-operation finite-difference checks at ``seed``."""
+def op_check_suite(seed: int) -> dict[str, float]:
+    """One full sweep of per-operation finite-difference checks at ``seed``:
+    each check's name and worst relative error."""
     rng = np.random.default_rng(seed)
-    report = GradCheckReport(tol=tol)
+    errors: dict[str, float] = {}
 
     def run(name: str, f, inputs):
         # crc32, unlike hash(), is not salted per process, so runs repeat exactly.
-        sub = grad_check(f, inputs, seed ^ zlib.crc32(name.encode()) & 0xFFFF, eps=eps, tol=tol)
-        report.entries.append(CheckEntry(name, sub.max_rel_err))
+        errors[name] = grad_check(f, inputs, seed ^ zlib.crc32(name.encode()) & 0xFFFF)
 
     m, k, n = (int(v) for v in rng.integers(2, 8, size=3))
     run("matmul", lambda a, b: T.matmul(a, b),
@@ -180,7 +174,7 @@ def op_check_suite(seed: int, eps: float = 1e-5, tol: float = 1e-4) -> GradCheck
     run("upsample2x_bilinear(batch)", lambda x: T.upsample2x_bilinear(x),
         [Tensor(rng.standard_normal((2, h + 1, w + 1, c)))])
 
-    target = Tensor(rng.integers(0, 2, size=(4, 3)).astype(float))
+    target = rng.integers(0, 2, size=(4, 3)).astype(float)
     run("bce", lambda pr: T.bce(pr, target),
         [Tensor(rng.uniform(0.05, 0.95, size=(4, 3)))])
 
@@ -205,43 +199,40 @@ def op_check_suite(seed: int, eps: float = 1e-5, tol: float = 1e-4) -> GradCheck
     run("attention(shifted)", lambda x: T.attention(x, heads),
         [Tensor(shifted.reshape(2, n_tok, 3 * heads * dh))])
 
-    return report
+    return errors
 
 
-def check_all_ops(seeds: Sequence[int] = (0, 1, 2, 3, 4),
-                  eps: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
-    """Run :func:`op_check_suite` across ``seeds`` and merge per-op worst errors."""
+def check_all_ops() -> GradCheckReport:
+    """A1: :func:`op_check_suite` at seeds 0-4, each op's worst error against
+    1e-4."""
     worst: dict[str, float] = {}
-    for seed in seeds:
-        for entry in op_check_suite(seed, eps=eps, tol=tol).entries:
-            worst[entry.name] = max(worst.get(entry.name, 0.0), entry.max_rel_err)
-    report = GradCheckReport(tol=tol)
-    report.entries = [CheckEntry(name, err) for name, err in worst.items()]
-    return report
+    for seed in range(5):
+        for name, err in op_check_suite(seed).items():
+            worst[name] = max(worst.get(name, 0.0), err)
+    return GradCheckReport(worst, tol=1e-4)
 
 
-def check_model_gradients(cfg=None, n_params: int = 50, seed: int = 0,
-                          eps: float = 1e-5, tol: float = 1e-3) -> GradCheckReport:
-    """Spot-check the training step's gradients against finite differences.
+def check_model_gradients() -> GradCheckReport:
+    """A2: spot-check the training step's gradients against finite differences.
 
-    At a tiny geometry, a batch of two samples whose expressions differ in
-    length is back-propagated as ``train`` does it
+    At a tiny geometry (seed 0), a batch of two samples whose expressions
+    differ in length is back-propagated as ``train`` does it
     (:func:`restr.training.decoded_backward`: batched token stages, one
-    decoder tape per sample, each weighted 1/B). ``n_params`` sampled scalar
-    parameters across the whole network are compared elementwise with
-    central differences of the batch-mean loss of the one-graph ``forward``.
+    decoder tape per sample, each weighted 1/B). 50 sampled scalar parameters
+    across the whole network are compared elementwise with central
+    differences of the batch-mean loss of the one-graph ``forward``, against
+    1e-3.
     """
     from .decoder import forward, init_model
     from .encoders import ModelConfig
     from .training import decoded_backward, patch_labels, segmentation_loss
 
-    if cfg is None:
-        cfg = ModelConfig(image_h=16, image_w=16, patch_size=4,
-                          dim_vision=16, vision_layers=1,
-                          dim_language=16, language_layers=1,
-                          max_tokens=6, vocab_size=15,
-                          dim_fusion=16, fusion_layers=2, heads=2)
-    rng = np.random.default_rng(seed)
+    cfg = ModelConfig(image_h=16, image_w=16, patch_size=4,
+                      dim_vision=16, vision_layers=1,
+                      dim_language=16, language_layers=1,
+                      max_tokens=6, vocab_size=15,
+                      dim_fusion=16, fusion_layers=2, heads=2)
+    rng = np.random.default_rng(0)
     params = init_model(rng, cfg)
     images = rng.uniform(0.0, 1.0, size=(2, cfg.image_h, cfg.image_w, cfg.channels))
     ids = [[int(v) for v in rng.integers(2, cfg.vocab_size, size=n)] for n in (4, 2)]
@@ -259,19 +250,16 @@ def check_model_gradients(cfg=None, n_params: int = 50, seed: int = 0,
     decoded_backward(1, images, ids, y_p, masks, params, cfg, lam=0.1)
 
     # Deterministic sample of (tensor, element) pairs across all parameters.
-    sizes = np.array([t.size for _, t in named])
-    cum = np.cumsum(sizes)
-    picks = np.sort(rng.choice(int(cum[-1]), size=min(n_params, int(cum[-1])),
-                               replace=False))
-    report = GradCheckReport(tol=tol)
+    cum = np.cumsum([t.size for _, t in named])
+    picks = np.sort(rng.choice(int(cum[-1]), size=50, replace=False))
+    errors: dict[str, float] = {}
     with T.no_grad():
         for flat_pick in picks:
             pi = int(np.searchsorted(cum, flat_pick, side="right"))
             name, t = named[pi]
             j = int(flat_pick - (cum[pi - 1] if pi else 0))
             a = 0.0 if t.grad is None else float(t.grad.flat[j])
-            numeric = _central_difference(loss_value, t.data, j, eps)
-            report.entries.append(CheckEntry(f"{name}[{j}]", _rel_err(a, numeric)))
+            errors[f"{name}[{j}]"] = _rel_err(a, _central_difference(loss_value, t.data, j))
     for _, t in named:
         t.grad = None
-    return report
+    return GradCheckReport(errors, tol=1e-3)

@@ -19,8 +19,8 @@ so part of a graph can be back-propagated and freed before the rest, whose
 backward then starts from the gradients that part's inputs received.
 
 Values are float64 throughout. Data enters as float32 pixels and uint8
-masks, widened when a batch becomes a tensor; checkpoints store float32
-blobs.
+masks, widened when a batch becomes a tensor or, for masks, ``bce``'s
+target array; checkpoints store float32 blobs.
 
 Scoped collectors observe ops without changing them: inside ``with
 count_macs() as counter:`` matmul and attention add their multiply-accumulates
@@ -46,20 +46,22 @@ def _load_erf():
     """scipy's ``erf`` ufunc, loaded from the extension module that defines
     it without importing scipy.special, whose package import loads dozens of
     other scipy modules. ``find_spec`` locates scipy without importing it.
-    The module is registered under its own name, so a later ``import
-    scipy.special`` reuses it and ``scipy.special.erf`` is this very ufunc.
-    A scipy without that module, or without ``erf`` in it, takes the plain
-    import."""
+    Loading the extension enters it in ``sys.modules``; it is taken out
+    again, so that a later ``import scipy.special`` loads it itself and binds
+    it as the package's attribute, and ``scipy.special.erf`` is still this
+    very ufunc. A module already in ``sys.modules`` is reused. A scipy
+    without that module, or without ``erf`` in it, takes the plain import."""
     name = "scipy.special._special_ufuncs"
+    module = sys.modules.get(name)
     scipy = importlib.util.find_spec("scipy")
     path = scipy and os.path.join(scipy.submodule_search_locations[0], "special",
                                   "_special_ufuncs" + importlib.machinery.EXTENSION_SUFFIXES[0])
-    if name not in sys.modules and path and os.path.isfile(path):
+    if module is None and path and os.path.isfile(path):
         loader = importlib.machinery.ExtensionFileLoader(name, path)
         module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
         loader.exec_module(module)
-        sys.modules[name] = module
-    erf = getattr(sys.modules.get(name), "erf", None)
+        sys.modules.pop(name, None)
+    erf = getattr(module, "erf", None)
     if erf is None:
         from scipy.special import erf
     return erf
@@ -697,27 +699,24 @@ def upsample2x_bilinear(x: Tensor) -> Tensor:
     return _record("upsample2x_bilinear", (x,), out_data, bwd)
 
 
-def bce(pred: Tensor, target: Tensor) -> Tensor:
+def bce(pred: Tensor, target: np.ndarray) -> Tensor:
     """Mean binary cross-entropy over every element, batch axes included (so
     a batch's loss is the mean of its samples' losses); predictions clamped to
-    [1e-7, 1-1e-7]."""
-    if pred.shape != target.shape:
-        raise ShapeError(f"bce shapes disagree: {pred.shape} vs {target.shape}")
+    [1e-7, 1-1e-7]. ``target`` is data, widened to float64; only ``pred``
+    receives a gradient."""
+    y = np.asarray(target, dtype=np.float64)
+    if pred.shape != y.shape:
+        raise ShapeError(f"bce shapes disagree: {pred.shape} vs {y.shape}")
     lo, hi = BCE_CLAMP, 1.0 - BCE_CLAMP
     p = np.clip(pred.data, lo, hi)
-    y = target.data
     n = p.size
     out_data = np.asarray(-(y * np.log(p) + (1.0 - y) * np.log1p(-p)).sum() / n)
 
-    wants_target = target.requires_grad
-
     def bwd(g: np.ndarray) -> tuple:
-        gs = float(g)
         inside = (p > lo) & (p < hi)  # the predictions the clip left unchanged
-        return (gs * inside * (p - y) / (p * (1.0 - p)) / n,
-                gs * (np.log1p(-p) - np.log(p)) / n if wants_target else None)
+        return (float(g) * inside * (p - y) / (p * (1.0 - p)) / n,)
 
-    return _record("bce", (pred, target), out_data, bwd)
+    return _record("bce", (pred,), out_data, bwd)
 
 
 def sum_all(x: Tensor) -> Tensor:

@@ -98,11 +98,10 @@ def segmentation_loss(pred: PredictionPair, y_p: np.ndarray, mask: np.ndarray,
 
     ``y_p`` has the shape of ``pred.patch_probs`` and ``mask`` the size of
     ``pred.pixel_logits``; each term is the mean over its batch's elements.
-    A uint8 mask batch becomes float64 only in the BCE target tensor.
+    A uint8 mask batch becomes float64 only in the BCE target array.
     """
-    patch_term = T.bce(pred.patch_probs, Tensor(y_p))
-    pixel_term = T.bce(T.sigmoid(pred.pixel_logits),
-                       Tensor(np.reshape(mask, pred.pixel_logits.shape)))
+    patch_term = T.bce(pred.patch_probs, y_p)
+    pixel_term = T.bce(T.sigmoid(pred.pixel_logits), np.reshape(mask, pred.pixel_logits.shape))
     total = T.scale(patch_term, lam) + pixel_term
     return total, patch_term, pixel_term
 
@@ -345,7 +344,7 @@ def train(params: RestrParams, model_cfg: ModelConfig, cfg: TrainConfig,
                 iteration, images, token_ids, y_p, masks, params, model_cfg, cfg.lam)
         else:
             _, _, patch_probs = encode(images, token_ids, params, model_cfg)
-            patch_term = T.bce(patch_probs, Tensor(y_p))
+            patch_term = T.bce(patch_probs, y_p)
             loss_total = loss_patch = patch_term.item()
             loss_pixel = 0.0
             check_finite_loss(iteration, loss_patch, loss_pixel)

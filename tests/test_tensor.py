@@ -52,11 +52,10 @@ class TestMatmul:
 
     def test_gradient_5x7_7x3(self):
         rng = np.random.default_rng(11)
-        rep = grad_check(T.matmul,
+        err = grad_check(T.matmul,
                          [tensor(rng.standard_normal((5, 7))),
-                          tensor(rng.standard_normal((7, 3)))], 42,
-                         eps=1e-5, tol=1e-6)
-        assert rep.passed, rep
+                          tensor(rng.standard_normal((7, 3)))], 42)
+        assert err <= 1e-6, err
 
     def test_dimension_mismatch_reports_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
@@ -304,12 +303,11 @@ class TestLayerNorm:
 
     def test_gradient(self):
         rng = np.random.default_rng(6)
-        rep = grad_check(T.layer_norm,
+        err = grad_check(T.layer_norm,
                          [tensor(rng.standard_normal((4, 5))),
                           tensor(rng.standard_normal(5) + 1),
-                          tensor(rng.standard_normal(5))], 7,
-                         tol=1e-5)
-        assert rep.passed, rep
+                          tensor(rng.standard_normal(5))], 7)
+        assert err <= 1e-5, err
 
     def test_affine_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -339,8 +337,8 @@ class TestElementwise:
 
     def test_gelu_gradient(self):
         rng = np.random.default_rng(8)
-        rep = grad_check(T.gelu, [tensor(rng.standard_normal((3, 4)) * 2)], 9, tol=1e-5)
-        assert rep.passed, rep
+        err = grad_check(T.gelu, [tensor(rng.standard_normal((3, 4)) * 2)], 9)
+        assert err <= 1e-5, err
 
     def test_gelu_gradient_is_the_derivative_times_g(self):
         # Reference: g·(x·φ(x) + Φ(x)), in the operation order of the backward
@@ -381,10 +379,11 @@ class TestErfImport:
             "import sys, restr, restr.cli\n"
             "print([m for m in ('scipy.special', 'scipy.linalg') if m in sys.modules])\n"
             "import scipy.special, restr.tensor as T\n"
-            "print(scipy.special.erf is T.erf, repr(float(scipy.special.gamma(0.5))))\n", "1")
+            "print(scipy.special.erf is T.erf, scipy.special._special_ufuncs.erf is T.erf,\n"
+            "      repr(float(scipy.special.gamma(0.5))))\n", "1")
         loaded, shared = out.splitlines()
         assert loaded == "[]"
-        assert shared == f"True {math.sqrt(math.pi)!r}"
+        assert shared == f"True True {math.sqrt(math.pi)!r}"
 
     def test_scipy_special_imported_first(self):
         out = run_with_blas_threads(
@@ -421,9 +420,9 @@ class TestLayoutOps:
 
     def test_reshape_transpose_gradients(self):
         rng = np.random.default_rng(12)
-        rep = grad_check(lambda x: T.transpose(T.reshape(x, (2, 6))),
-                         [tensor(rng.standard_normal((3, 4)))], 13, tol=1e-6)
-        assert rep.passed, rep
+        err = grad_check(lambda x: T.transpose(T.reshape(x, (2, 6))),
+                         [tensor(rng.standard_normal((3, 4)))], 13)
+        assert err <= 1e-6, err
 
     def test_reshape_size_check(self):
         with pytest.raises(ShapeError):
@@ -449,9 +448,9 @@ class TestUpsample:
 
     def test_bilinear_gradient(self):
         rng = np.random.default_rng(16)
-        rep = grad_check(T.upsample2x_bilinear,
-                         [tensor(rng.standard_normal((3, 4, 2)))], 17, tol=1e-6)
-        assert rep.passed, rep
+        err = grad_check(T.upsample2x_bilinear,
+                         [tensor(rng.standard_normal((3, 4, 2)))], 17)
+        assert err <= 1e-6, err
 
     def test_needs_grid(self):
         with pytest.raises(ShapeError):
@@ -484,27 +483,27 @@ class TestUpsample:
 
 class TestBce:
     def test_half_prediction(self):
-        out = T.bce(Tensor([[0.5]]), Tensor([[1.0]]))
+        out = T.bce(Tensor([[0.5]]), np.array([[1.0]]))
         npt.assert_allclose(out.item(), math.log(2), rtol=1e-12)
 
     def test_perfect_prediction_clamp_floor(self):
         target = np.array([[0.0, 1.0], [1.0, 0.0]])
-        out = T.bce(Tensor(target), Tensor(target))
+        out = T.bce(Tensor(target), target)
         assert 0 <= out.item() < 1e-6
 
     def test_gradient(self):
         rng = np.random.default_rng(18)
         pred = tensor(rng.uniform(0.05, 0.95, (3, 4)))
-        target = Tensor(rng.integers(0, 2, (3, 4)).astype(float))
-        rep = grad_check(lambda p: T.bce(p, target), [pred], tol=1e-5)
-        assert rep.passed, rep
+        target = rng.integers(0, 2, (3, 4)).astype(float)
+        err = grad_check(lambda p: T.bce(p, target), [pred])
+        assert err <= 1e-5, err
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            T.bce(Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 3))))
+            T.bce(Tensor(np.zeros((2, 2))), np.zeros((2, 3)))
 
     def test_confident_wrong_is_finite(self):
-        out = T.bce(Tensor([[1.0]]), Tensor([[0.0]]))
+        out = T.bce(Tensor([[1.0]]), np.array([[0.0]]))
         assert np.isfinite(out.item())
 
 
@@ -524,14 +523,12 @@ class TestBackward:
 
         def f(x, w1, w2):
             h = T.gelu(T.matmul(x, w1))
-            return T.bce(T.sigmoid(T.matmul(h, w2)),
-                         Tensor(np.ones((3, 1))))
+            return T.bce(T.sigmoid(T.matmul(h, w2)), np.ones((3, 1)))
 
-        rep = grad_check(f, [tensor(rng.standard_normal((3, 4))),
+        err = grad_check(f, [tensor(rng.standard_normal((3, 4))),
                              tensor(rng.standard_normal((4, 5))),
-                             tensor(rng.standard_normal((5, 1)))],
-                         eps=1e-5, tol=1e-4)
-        assert rep.passed, rep
+                             tensor(rng.standard_normal((5, 1)))])
+        assert err <= 1e-4, err
 
     def test_non_scalar_loss_rejected(self):
         x = tensor(np.ones((2, 2)))
@@ -824,7 +821,7 @@ class TestEngineInvariants:
             x = tensor(rng.standard_normal((6, 6)))
             w = tensor(rng.standard_normal((6, 6)))
             out = T.bce(T.sigmoid(T.matmul(T.softmax(x, axis=-1), w)),
-                        Tensor((rng.standard_normal((6, 6)) > 0).astype(float)))
+                        (rng.standard_normal((6, 6)) > 0).astype(float))
             T.backward(out)
             return out.item(), x.grad.copy(), w.grad.copy()
 
@@ -895,16 +892,16 @@ class TestGradCheckOracle:
     def test_linear_map_near_machine_precision(self):
         rng = np.random.default_rng(22)
         w = Tensor(rng.standard_normal((4, 3)))
-        rep = grad_check(lambda x: T.sum_all(T.matmul(x, w)),
-                         [tensor(rng.standard_normal((2, 4)))], tol=1e-9)
-        assert rep.passed and rep.max_rel_err < 1e-9
+        err = grad_check(lambda x: T.sum_all(T.matmul(x, w)),
+                         [tensor(rng.standard_normal((2, 4)))])
+        assert err < 1e-9, err
 
     def test_softmax_matmul_composite(self):
         rng = np.random.default_rng(23)
-        rep = grad_check(lambda a, b: T.softmax(T.matmul(a, b), -1),
+        err = grad_check(lambda a, b: T.softmax(T.matmul(a, b), -1),
                          [tensor(rng.standard_normal((3, 4))),
-                          tensor(rng.standard_normal((4, 5)))], 24, tol=1e-5)
-        assert rep.passed, rep
+                          tensor(rng.standard_normal((4, 5)))], 24)
+        assert err <= 1e-5, err
 
     def test_corrupted_adjoint_detected(self):
         def bad_sigmoid(x):
@@ -914,6 +911,5 @@ class TestGradCheckOracle:
                              lambda g: (g * y * (1.0 - y) * 1.1,))  # deliberately 10% off
 
         rng = np.random.default_rng(25)
-        rep = grad_check(bad_sigmoid, [tensor(rng.standard_normal((3, 3)))], 26, tol=1e-4)
-        assert not rep.passed
-        assert rep.max_rel_err > 1e-2
+        err = grad_check(bad_sigmoid, [tensor(rng.standard_normal((3, 3)))], 26)
+        assert err > 1e-2, err
