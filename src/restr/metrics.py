@@ -177,14 +177,13 @@ def predicted_masks(params, cfg, dataset: Sequence,
                 for mask in _chunk_masks(params, cfg, dataset[c0:c0 + step], use_decoder)]
 
 
-def evaluate_model(params, cfg, dataset: Sequence,
-                   buckets: str | Sequence[tuple[int, int]] = DEFAULT_BUCKETS,
+def evaluate_model(params, cfg, dataset: Sequence, buckets: str = DEFAULT_BUCKETS,
                    use_decoder: bool = True) -> EvalReport:
-    """Run the model on ``dataset`` and assemble the full report."""
+    """Run the model on ``dataset`` and assemble the full report; the
+    ``buckets`` spec string is read by :func:`parse_buckets`."""
     if not dataset:
         raise ValueError("evaluate_model needs a nonempty dataset")
-    if isinstance(buckets, str):
-        buckets = parse_buckets(buckets)
+    buckets = parse_buckets(buckets)
     # the model truncates longer expressions to max_tokens
     lengths = [min(len(s.token_ids), cfg.max_tokens) for s in dataset]
     for length in lengths:  # fail before the forward, not after it

@@ -29,6 +29,11 @@ from .encoders import ModelConfig, patchify
 from .transformer import ConfigError
 
 
+# Fixed by the reference recipe: AdamW's betas and epsilon, and the poly power.
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+POLY_POWER = 0.9
+
+
 class NonFiniteLossError(RuntimeError):
     """A loss term or a gradient came out NaN or infinite; training stops
     before the step writes any parameter or optimizer state."""
@@ -36,16 +41,13 @@ class NonFiniteLossError(RuntimeError):
 
 @dataclass
 class TrainConfig:
-    """Optimization hyperparameters; defaults follow the reference recipe."""
+    """Optimization hyperparameters; defaults follow the reference recipe.
+    AdamW's betas and epsilon and the poly power are the constants above."""
 
     base_lr: float = 1e-5
     weight_decay: float = 5e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     warmup_iters: int = 100
     total_iters: int = 2000
-    poly_power: float = 0.9
     batch_size: int = 8
     tau: float = 0.8
     lam: float = 0.1
@@ -60,11 +62,6 @@ class TrainConfig:
         for name in ("base_lr", "weight_decay", "lam"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
-        if not 0.0 < self.adam_eps < math.inf:
-            raise ConfigError(f"adam_eps must be finite and > 0, got {self.adam_eps}")
         for name in ("total_iters", "batch_size", "log_every"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -74,8 +71,6 @@ class TrainConfig:
         if self.warmup_iters > self.total_iters:
             raise ConfigError(f"warmup_iters {self.warmup_iters} exceeds "
                               f"total_iters {self.total_iters}")
-        if not self.poly_power > 0.0:
-            raise ConfigError(f"poly_power must be positive, got {self.poly_power}")
 
 
 def patch_labels(mask: np.ndarray, patch_size: int, tau: float) -> np.ndarray:
@@ -114,7 +109,7 @@ def lr_at(iteration: int, cfg: TrainConfig) -> float:
         return cfg.base_lr * iteration / cfg.warmup_iters
     span = cfg.total_iters - cfg.warmup_iters
     remaining = 1.0 - (iteration - cfg.warmup_iters) / span
-    return cfg.base_lr * remaining ** cfg.poly_power
+    return cfg.base_lr * remaining ** POLY_POWER
 
 
 def decays(name: str) -> bool:
@@ -150,24 +145,24 @@ class AdamW:
             raise NonFiniteLossError(f"non-finite gradient at iteration "
                                      f"{self.step_count + 1}: {bad}")
         self.step_count += 1
-        bc1 = 1.0 - cfg.beta1 ** self.step_count
-        bc2 = 1.0 - cfg.beta2 ** self.step_count
+        bc1 = 1.0 - BETA1 ** self.step_count
+        bc2 = 1.0 - BETA2 ** self.step_count
         for (name, t), m, v in zip(self.params, self.m, self.v):
             g = np.zeros_like(t.data) if t.grad is None else t.grad
             if cfg.weight_decay and decays(name):
                 t.data *= 1.0 - lr * cfg.weight_decay
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g * g
-            t.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            t.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         return math.sqrt(sq_norm)
 
     def state(self) -> dict:
         return {"step": self.step_count, "m": self.m, "v": self.v}
 
     def load_state(self, state: dict) -> None:
-        if len(state["m"]) != len(self.params):
+        if not len(state["m"]) == len(state["v"]) == len(self.params):
             raise ValueError("optimizer state does not match the parameter list")
         self.step_count = int(state["step"])
         self.m = [np.asarray(a, dtype=np.float64).reshape(t.data.shape)

@@ -114,11 +114,16 @@ class TestTrain:
         assert main(["train", "--data", str(tmp_path / "absent"),
                      "--out", str(tmp_path / "o"), "--quiet"]) == 2
 
-    def test_unknown_config_key_rejected(self, tmp_path, dataset_dir):
+    def test_unknown_config_key_rejected(self, tmp_path, dataset_dir, capsys):
+        # the recipe constants of restr.training are not keys either
         config = tmp_path / "bad.cfg"
-        config.write_text("not_a_key = 3\n")
-        assert main(["train", "--data", str(dataset_dir),
-                     "--out", str(tmp_path / "o"), "--config", str(config)]) == 1
+        for line in ("not_a_key = 3", "beta1 = 0.9", "beta2 = 0.999", "adam_eps = 1e-8",
+                     "poly_power = inf"):
+            config.write_text(line + "\n")
+            assert main(["train", "--data", str(dataset_dir), "--out", str(tmp_path / "o"),
+                         "--quiet", "--total_iters", "2", *TRAIN_FLAGS,
+                         "--config", str(config)]) == 1, line
+            assert f"unknown config key {line.split()[0]!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value,extra,message", [
         ("0.9", [], "needs periodic evaluation"),
@@ -268,8 +273,8 @@ class TestTrain:
 
 
     @pytest.mark.parametrize("flag,value", [
-        ("log_every", "0"), ("base_lr", "nan"), ("lam", "nan"), ("adam_eps", "0"),
-        ("beta1", "1.5"), ("weight_decay", "-1"), ("total_iters", "0")])
+        ("log_every", "0"), ("base_lr", "nan"), ("lam", "nan"), ("weight_decay", "-1"),
+        ("total_iters", "0")])
     def test_malformed_train_config_rejected(self, tmp_path, dataset_dir, capsys,
                                              flag, value):
         assert main(["train", "--data", str(dataset_dir), "--out", str(tmp_path / "o"),
