@@ -144,6 +144,8 @@ def load_checkpoint(path) -> tuple[ModelConfig, RestrParams, dict | None]:
         t.data = r.floats(shape, f"parameter {name!r}")
 
     has_opt = struct.unpack("<B", r.take(1))[0]
+    if has_opt not in (0, 1):
+        raise CheckpointError(f"{p}: optimizer flag is {has_opt}, not 0 or 1")
     opt_state = None
     if has_opt:
         step = struct.unpack("<Q", r.take(8))[0]

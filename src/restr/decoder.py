@@ -1,12 +1,12 @@
 """Coarse-to-fine segmentation decoder and the full-model forward pass.
 
-The adaptive classifier scores each patch (inner product, sigmoid), the
-scores gate the patch features, and ``log2(patch_size)`` blocks of
-{2x bilinear upsample, channel-halving linear, GELU} lift the gated patch
-grid to pixel logits. The final linear produces one logit per pixel; no
-activation follows it. Upsampling is bilinear rather than nearest: nearest
-replication keeps every pixel of a patch identical through the pointwise
-layers, which caps mask quality at patch granularity.
+The adaptive classifier scores each patch with a logit (an inner product),
+each logit's sigmoid gates the patch features, and ``log2(patch_size)``
+blocks of {2x bilinear upsample, channel-halving linear, GELU} lift the
+gated patch grid to pixel logits. The final linear produces one logit per
+pixel; no activation follows it. Upsampling is bilinear rather than nearest:
+nearest replication keeps every pixel of a patch identical through the
+pointwise layers, which caps mask quality at patch granularity.
 
 Each block runs its linear before the upsample, on the 4x smaller grid. In
 exact arithmetic the two commute: the upsample mixes cells and the linear
@@ -36,9 +36,9 @@ from .transformer import ConfigError, Linear, Params, _weight, _zeros
 
 @dataclass
 class PredictionPair:
-    """Patch-level probabilities and pixel-level logits from one forward pass."""
+    """Patch-level and pixel-level logits from one forward pass."""
 
-    patch_probs: Tensor  # (B, n_patches, 1), strictly inside (0, 1)
+    patch_logits: Tensor  # (B, n_patches, 1), unbounded
     pixel_logits: Tensor  # (B, H, W, 1), unbounded
 
 
@@ -65,19 +65,19 @@ def init_decoder(rng: np.random.Generator, cfg: ModelConfig) -> DecoderParams:
 
 
 def patch_predict(z_v: Tensor, e_s: Tensor) -> Tensor:
-    """Sigmoid of the classifier inner product, normalized by sqrt(D):
+    """Eq. 9's logits, the classifier inner product normalized by sqrt(D):
     (..., N, D) features and a (..., 1, D) classifier give (..., N, 1)."""
     if z_v.shape[-1] != e_s.shape[-1]:
         raise ConfigError(f"feature width {z_v.shape} vs classifier {e_s.shape}")
     d = z_v.shape[-1]
-    return T.sigmoid(T.scale(T.matmul(z_v, T.transpose(e_s)), 1.0 / math.sqrt(d)))
+    return T.scale(T.matmul(z_v, T.transpose(e_s)), 1.0 / math.sqrt(d))
 
 
-def mask_features(z_v: Tensor, patch_probs: Tensor) -> Tensor:
+def mask_features(z_v: Tensor, probs: Tensor) -> Tensor:
     """Scale each patch feature row by its predicted probability."""
-    if patch_probs.shape != z_v.shape[:-1] + (1,):
-        raise ConfigError(f"mask shape {patch_probs.shape} does not match {z_v.shape}")
-    return T.hadamard(z_v, patch_probs)
+    if probs.shape != z_v.shape[:-1] + (1,):
+        raise ConfigError(f"mask shape {probs.shape} does not match {z_v.shape}")
+    return T.hadamard(z_v, probs)
 
 
 def decode_pixels(z_v: Tensor, z_masked: Tensor, params: DecoderParams,
@@ -121,19 +121,19 @@ def encode(images: np.ndarray, token_ids: Sequence[Sequence[int]], params: Restr
     """The token stages on a batch of (B, H, W, C) images, one expression
     each: encode both modalities, fuse, classify patches. Returns the
     projected patches, the masked fused patches that ``decode_pixels`` takes
-    beside them and the patch probabilities."""
+    beside them and the patch logits."""
     z_v = vision_encode(images, params.vision, cfg)
     z_l = language_encode(token_ids, params.language, cfg)
     pv, pl = project(z_v, z_l, params.fusion)
     z_v_fused, e_s = fuse(pv, pl, params.fusion)
-    patch_probs = patch_predict(z_v_fused, e_s)
-    return pv, mask_features(z_v_fused, patch_probs), patch_probs
+    logits = patch_predict(z_v_fused, e_s)
+    return pv, mask_features(z_v_fused, T.sigmoid(logits)), logits
 
 
 def forward(images: np.ndarray, token_ids: Sequence[Sequence[int]], params: RestrParams,
             cfg: ModelConfig) -> PredictionPair:
     """Full pipeline on a batch of (B, H, W, C) images, one expression each:
     the token stages of ``encode``, then ``decode_pixels``."""
-    pv, masked, patch_probs = encode(images, token_ids, params, cfg)
-    return PredictionPair(patch_probs=patch_probs,
+    pv, masked, patch_logits = encode(images, token_ids, params, cfg)
+    return PredictionPair(patch_logits=patch_logits,
                           pixel_logits=decode_pixels(pv, masked, params.decoder, cfg))

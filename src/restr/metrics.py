@@ -19,9 +19,9 @@ PREC_THRESHOLDS = (0.5, 0.6, 0.7, 0.8, 0.9)
 DEFAULT_BUCKETS = "1-2,3,4-5,6-20"
 
 
-def binarize(pixel_logits: np.ndarray) -> np.ndarray:
-    """Logits -> {0,1} mask; the sigmoid-0.5 boundary (logit 0) counts as 1."""
-    grid = np.asarray(pixel_logits)
+def binarize(logits: np.ndarray) -> np.ndarray:
+    """Pixel or patch logits -> {0,1} mask; logit 0 (sigmoid 0.5) counts as 1."""
+    grid = np.asarray(logits)
     if grid.ndim == 3:
         grid = grid[:, :, 0]
     return (grid >= 0.0).astype(np.uint8)
@@ -139,10 +139,9 @@ def _chunk_size(cfg) -> int:
     return max(1, _CHUNK_SCORES // (cfg.heads * cfg.fused_len ** 2))
 
 
-def _patch_mask(patch_probs: np.ndarray, cfg) -> np.ndarray:
-    """Thresholded patch probabilities replicated to pixel resolution."""
-    gh, gw = cfg.patch_grid
-    blocks = (patch_probs.reshape(gh, gw) >= 0.5).astype(np.uint8)
+def _patch_mask(patch_logits: np.ndarray, cfg) -> np.ndarray:
+    """Binarized patch logits replicated to pixel resolution."""
+    blocks = binarize(patch_logits.reshape(cfg.patch_grid))
     return np.repeat(np.repeat(blocks, cfg.patch_size, 0), cfg.patch_size, 1)
 
 
@@ -153,9 +152,9 @@ def _chunk_masks(params, cfg, chunk: Sequence, use_decoder: bool) -> list[np.nda
     sample's logits outlive its binarization."""
     images = (np.asarray(chunk[0].image)[None] if len(chunk) == 1
               else np.stack([np.asarray(s.image) for s in chunk]))
-    pv, masked, probs = decoder.encode(images, [s.token_ids for s in chunk], params, cfg)
+    pv, masked, logits = decoder.encode(images, [s.token_ids for s in chunk], params, cfg)
     if not use_decoder:
-        return [_patch_mask(p, cfg) for p in probs.data]
+        return [_patch_mask(p, cfg) for p in logits.data]
     return [binarize(decoder.decode_pixels(T.Tensor(v), T.Tensor(m), params.decoder,
                                            cfg).data)
             for v, m in zip(pv.data, masked.data)]

@@ -44,11 +44,11 @@ def mask_boundary(mask: np.ndarray) -> np.ndarray:
     return m & ~interior
 
 
-def patch_grid_image(patch_probs: np.ndarray, grid_hw: tuple[int, int],
+def patch_grid_image(probs: np.ndarray, grid_hw: tuple[int, int],
                      patch_size: int) -> np.ndarray:
     """(n_patches, 1) probabilities -> grayscale image upscaled by the patch size."""
     gh, gw = grid_hw
-    grid = np.asarray(patch_probs).reshape(gh, gw)
+    grid = np.asarray(probs).reshape(gh, gw)
     gray = np.clip(np.rint(grid * 255.0), 0, 255).astype(np.uint8)
     return np.repeat(np.repeat(gray, patch_size, axis=0), patch_size, axis=1)
 
@@ -67,7 +67,7 @@ def render_sample(params, cfg, sample, out_dir, sample_id: int) -> dict[str, Pat
         "overlay": out / f"{sample_id:04d}_overlay.ppm",
     }
     write_pgm(paths["mask"], mask * 255)
-    write_pgm(paths["patch"], patch_grid_image(pred.patch_probs.data[0],
+    write_pgm(paths["patch"], patch_grid_image(T.sigmoid(pred.patch_logits).data[0],
                                                cfg.patch_grid, cfg.patch_size))
     overlay = np.rint(np.asarray(sample.image, dtype=np.float64) * 255.0)
     overlay = np.clip(overlay, 0, 255).astype(np.uint8)

@@ -69,7 +69,6 @@ def _load_erf():
 
 erf = _load_erf()
 
-BCE_CLAMP = 1e-7
 _LN_EPS = 1e-8
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -557,11 +556,14 @@ def gelu(x: Tensor) -> Tensor:
     return _record("gelu", (x,), cdf, lambda g: (np.multiply(slope, g, out=slope),))
 
 
+def _logistic(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """sigmoid(x) from ``e = exp(-|x|)``, stable for either sign of x."""
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(x: Tensor) -> Tensor:
     """Numerically stable logistic function."""
-    e = np.exp(-np.abs(x.data))
-    y = np.where(x.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
+    y = _logistic(x.data, np.exp(-np.abs(x.data)))
     return _record("sigmoid", (x,), y, lambda g: (g * y * (1.0 - y),))
 
 
@@ -699,24 +701,21 @@ def upsample2x_bilinear(x: Tensor) -> Tensor:
     return _record("upsample2x_bilinear", (x,), out_data, bwd)
 
 
-def bce(pred: Tensor, target: np.ndarray) -> Tensor:
-    """Mean binary cross-entropy over every element, batch axes included (so
-    a batch's loss is the mean of its samples' losses); predictions clamped to
-    [1e-7, 1-1e-7]. ``target`` is data, widened to float64; only ``pred``
-    receives a gradient."""
+def bce(logits: Tensor, target: np.ndarray) -> Tensor:
+    """Mean binary cross-entropy of ``sigmoid(logits)`` against ``target``
+    over every element, batch axes included (so a batch's loss is the mean of
+    its samples' losses). It takes the stable logits form
+    ``max(x, 0) - x*y + log1p(exp(-|x|))``, whose gradient
+    ``(sigmoid(x) - y) / n`` never vanishes on a wrong element. ``target`` is
+    data, widened to float64; only ``logits`` receives a gradient."""
     y = np.asarray(target, dtype=np.float64)
-    if pred.shape != y.shape:
-        raise ShapeError(f"bce shapes disagree: {pred.shape} vs {y.shape}")
-    lo, hi = BCE_CLAMP, 1.0 - BCE_CLAMP
-    p = np.clip(pred.data, lo, hi)
-    n = p.size
-    out_data = np.asarray(-(y * np.log(p) + (1.0 - y) * np.log1p(-p)).sum() / n)
-
-    def bwd(g: np.ndarray) -> tuple:
-        inside = (p > lo) & (p < hi)  # the predictions the clip left unchanged
-        return (float(g) * inside * (p - y) / (p * (1.0 - p)) / n,)
-
-    return _record("bce", (pred,), out_data, bwd)
+    if logits.shape != y.shape:
+        raise ShapeError(f"bce shapes disagree: {logits.shape} vs {y.shape}")
+    x = logits.data
+    e = np.exp(-np.abs(x))
+    out_data = np.asarray((np.maximum(x, 0.0) - x * y + np.log1p(e)).sum() / x.size)
+    return _record("bce", (logits,), out_data,
+                   lambda g: (float(g) * (_logistic(x, e) - y) / x.size,))
 
 
 def sum_all(x: Tensor) -> Tensor:

@@ -1,9 +1,9 @@
 """Training: patch label generation, composite loss, AdamW, LR schedule, loop.
 
 Patch labels mark a patch foreground only when the ground-truth mask covers
-strictly more than ``tau`` of it. The loss is
-``lam * BCE(patch_probs, patch_labels) + BCE(sigmoid(pixel_logits), mask)``,
-each term mean-reduced over its own elements. AdamW applies decoupled weight
+strictly more than ``tau`` of it. The loss, on logits, is
+``lam * BCE(patch_logits, patch_labels) + BCE(pixel_logits, mask)``, each
+term mean-reduced over its own elements. AdamW applies decoupled weight
 decay to a parameter when the last part of its name (its field path) starts
 with ``w``, as weight matrices do, or is ``embed``; biases, norm affines, the
 positional table ``pos`` and the class ``seed`` are exempt.
@@ -91,12 +91,12 @@ def segmentation_loss(pred: PredictionPair, y_p: np.ndarray, mask: np.ndarray,
                       lam: float) -> tuple[Tensor, Tensor, Tensor]:
     """Returns (total, patch term, pixel term); only the total carries the lam weight.
 
-    ``y_p`` has the shape of ``pred.patch_probs`` and ``mask`` the size of
-    ``pred.pixel_logits``; each term is the mean over its batch's elements.
-    A uint8 mask batch becomes float64 only in the BCE target array.
+    ``y_p`` has the shape of ``pred.patch_logits`` and ``mask`` the size of
+    ``pred.pixel_logits``; each term is the mean BCE on logits over its batch's
+    elements. A uint8 mask batch becomes float64 only in the BCE target array.
     """
-    patch_term = T.bce(pred.patch_probs, y_p)
-    pixel_term = T.bce(T.sigmoid(pred.pixel_logits), np.reshape(mask, pred.pixel_logits.shape))
+    patch_term = T.bce(pred.patch_logits, y_p)
+    pixel_term = T.bce(pred.pixel_logits, np.reshape(mask, pred.pixel_logits.shape))
     total = T.scale(patch_term, lam) + pixel_term
     return total, patch_term, pixel_term
 
@@ -247,21 +247,22 @@ def decoded_backward(iteration: int, images: np.ndarray, token_ids: Sequence,
     sample at a time; returns the batch means of (total, patch, pixel term).
 
     The token stages record one graph over the batch. Each sample's rows of
-    their outputs are leaves of a decoder-and-loss graph on a tape of its
-    own, back-propagated from the seed 1/B and freed before the next sample is
-    decoded. The leaves' gradients then seed the token-stage backward. Every
-    sample of a dataset has the same size, so the mean of the samples' means
-    is the batch mean: the gradients are the one-graph ones up to rounding."""
+    their outputs, patch logits included, are leaves of a decoder-and-loss
+    graph on a tape of its own, back-propagated from the seed 1/B and freed
+    before the next sample is decoded; their gradients seed the token-stage
+    backward. The samples of a dataset share one size, so the mean of their
+    means is the batch mean: the gradients are the one-graph ones up to
+    rounding."""
     outs = encode(images, token_ids, params, model_cfg)
     grads = [np.empty_like(t.data) for t in outs]
     terms = np.empty((len(images), 3))
     for i in range(len(images)):
         with T.new_tape():
             leaves = [Tensor(t.data[i:i + 1], requires_grad=True) for t in outs]
-            pv, masked, probs = leaves
+            pv, masked, patch_logits = leaves
             logits = decoder.decode_pixels(pv, masked, params.decoder, model_cfg)
             total, patch_term, pixel_term = segmentation_loss(
-                PredictionPair(patch_probs=probs, pixel_logits=logits),
+                PredictionPair(patch_logits=patch_logits, pixel_logits=logits),
                 y_p[i:i + 1], masks[i:i + 1], lam)
             terms[i] = total.item(), patch_term.item(), pixel_term.item()
             check_finite_loss(iteration, terms[i, 1], terms[i, 2])
@@ -338,8 +339,8 @@ def train(params: RestrParams, model_cfg: ModelConfig, cfg: TrainConfig,
             loss_total, loss_patch, loss_pixel = decoded_backward(
                 iteration, images, token_ids, y_p, masks, params, model_cfg, cfg.lam)
         else:
-            _, _, patch_probs = encode(images, token_ids, params, model_cfg)
-            patch_term = T.bce(patch_probs, y_p)
+            _, _, patch_logits = encode(images, token_ids, params, model_cfg)
+            patch_term = T.bce(patch_logits, y_p)
             loss_total = loss_patch = patch_term.item()
             loss_pixel = 0.0
             check_finite_loss(iteration, loss_patch, loss_pixel)

@@ -116,9 +116,9 @@ def test_a3_equation_oracles():
     assert patch_labels(boundary, 4, 0.8)[0, 0] == 0.0  # 12/16 = .75
 
     # Eq. 9 on zero features is exactly one half.
-    probs = patch_predict(Tensor(np.zeros((5, 16))),
-                          Tensor(np.random.default_rng(1).standard_normal((1, 16))))
-    npt.assert_array_equal(probs.data, np.full((5, 1), 0.5))
+    logits = patch_predict(Tensor(np.zeros((5, 16))),
+                           Tensor(np.random.default_rng(1).standard_normal((1, 16))))
+    npt.assert_array_equal(T.sigmoid(logits).data, np.full((5, 1), 0.5))
 
     # Eq. 10 equals row scaling elementwise.
     z = np.random.default_rng(2).standard_normal((6, 8))

@@ -224,6 +224,26 @@ class TestCheckpoint:
                                            "where 'vision.stack.blocks.0.mlp.w1' belongs")):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("flag", [2, 7, 255])
+    def test_optimizer_flag_outside_0_1_rejected(self, tmp_path, flag):
+        # The flag byte follows the parameters, so a save without optimizer
+        # state ends with it; with state, any nonzero flag loaded as 1.
+        cfg = tiny_cfg()
+        params = init_model(np.random.default_rng(4), cfg)
+        named = params.named_parameters()
+        state = {"step": 3, "m": [np.zeros(t.shape) for _, t in named],
+                 "v": [np.ones(t.shape) for _, t in named]}
+        save_checkpoint(tmp_path / "bare.rstr", cfg, params)
+        at = len((tmp_path / "bare.rstr").read_bytes()) - 1
+        path = tmp_path / "m.rstr"
+        save_checkpoint(path, cfg, params, state)
+        blob = bytearray(path.read_bytes())
+        assert blob[at] == 1
+        blob[at] = flag
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match=f"optimizer flag is {flag}, not 0 or 1"):
+            load_checkpoint(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="not found"):
             load_checkpoint(tmp_path / "absent.rstr")

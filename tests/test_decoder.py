@@ -29,7 +29,8 @@ class TestPatchPredict:
     def test_zero_features_give_half(self):
         z = Tensor(np.zeros((7, 16)))
         e = Tensor(np.random.default_rng(0).standard_normal((1, 16)))
-        npt.assert_array_equal(patch_predict(z, e).data, np.full((7, 1), 0.5))
+        npt.assert_array_equal(patch_predict(z, e).data, np.zeros((7, 1)))
+        npt.assert_array_equal(T.sigmoid(patch_predict(z, e)).data, np.full((7, 1), 0.5))
 
     def test_aligned_row_analytic(self):
         d, s = 16, 1.3
@@ -37,15 +38,15 @@ class TestPatchPredict:
         z = np.zeros((3, d))
         z[1] = e[0]
         out = patch_predict(Tensor(z), Tensor(e)).data
-        npt.assert_allclose(out[1, 0], 1 / (1 + math.exp(-s)), rtol=1e-12)
-        npt.assert_allclose(out[0, 0], 0.5)
+        npt.assert_allclose(out[1, 0], s, rtol=1e-12)
+        assert out[0, 0] == 0.0
 
     def test_scaling_classifier_moves_away_from_half(self):
         rng = np.random.default_rng(1)
         z = Tensor(rng.standard_normal((10, 16)))
         e = Tensor(rng.standard_normal((1, 16)))
-        base = patch_predict(z, e).data
-        scaled = patch_predict(z, Tensor(e.data * 3.0)).data
+        base = T.sigmoid(patch_predict(z, e)).data
+        scaled = T.sigmoid(patch_predict(z, Tensor(e.data * 3.0))).data
         assert (np.abs(scaled - 0.5) >= np.abs(base - 0.5) - 1e-12).all()
         npt.assert_array_equal(np.sign(scaled - 0.5), np.sign(base - 0.5))
 
@@ -53,10 +54,10 @@ class TestPatchPredict:
         rng = np.random.default_rng(2)
         z = Tensor(rng.standard_normal((9, 16)) * 4)
         e = Tensor(rng.standard_normal((1, 16)) * 4)
-        probs = patch_predict(z, e).data
+        logits = patch_predict(z, e)
+        probs = T.sigmoid(logits).data
         assert ((probs > 0) & (probs < 1)).all()
-        logits = (z.data @ e.data.T) / math.sqrt(16)
-        npt.assert_allclose(np.log(probs / (1 - probs)), logits, atol=1e-9)
+        npt.assert_allclose(logits.data, (z.data @ e.data.T) / math.sqrt(16), rtol=1e-12)
 
     def test_dim_mismatch(self):
         with pytest.raises(ConfigError):
@@ -195,7 +196,7 @@ class TestForward:
         img = rng.uniform(size=(16, 16, 3))
         a = forward(img[None], [[2, 3, 4]], params, cfg)
         b = forward(img[None], [[2, 3, 4]], params, cfg)
-        npt.assert_array_equal(a.patch_probs.data, b.patch_probs.data)
+        npt.assert_array_equal(a.patch_logits.data, b.patch_logits.data)
         npt.assert_array_equal(a.pixel_logits.data, b.pixel_logits.data)
 
     def test_shapes(self):
@@ -203,19 +204,19 @@ class TestForward:
         rng = np.random.default_rng(11)
         params = init_model(rng, cfg)
         pred = forward(rng.uniform(size=(2, 16, 16, 3)), [[2], [3, 4]], params, cfg)
-        assert pred.patch_probs.shape == (2, cfg.n_patches, 1)
+        assert pred.patch_logits.shape == (2, cfg.n_patches, 1)
         assert pred.pixel_logits.shape == (2, 16, 16, 1)
 
     def test_without_pixels(self):
-        # the token stages alone give forward's patch probabilities
+        # the token stages alone give forward's patch logits
         cfg = tiny_cfg()
         rng = np.random.default_rng(12)
         params = init_model(rng, cfg)
         image = rng.uniform(size=(1, 16, 16, 3))
-        pv, masked, probs = encode(image, [[2]], params, cfg)
+        pv, masked, logits = encode(image, [[2]], params, cfg)
         assert pv.shape == masked.shape == (1, cfg.n_patches, cfg.dim_fusion)
-        assert probs.shape == (1, cfg.n_patches, 1)
-        npt.assert_array_equal(probs.data, forward(image, [[2]], params, cfg).patch_probs.data)
+        assert logits.shape == (1, cfg.n_patches, 1)
+        npt.assert_array_equal(logits.data, forward(image, [[2]], params, cfg).patch_logits.data)
 
     def test_variant_agnostic(self):
         rng = np.random.default_rng(13)

@@ -481,21 +481,30 @@ class TestUpsample:
         assert run_with_blas_threads(_UPSAMPLE, "2") == first
 
 
+def _parent_bce(x, y):
+    """The loss and logit gradient of the former probability form,
+    ``bce(sigmoid(x))`` with its [1e-7, 1 - 1e-7] clip, in numpy."""
+    p = np.clip(1.0 / (1.0 + np.exp(-x)), 1e-7, 1.0 - 1e-7)
+    loss = -(y * np.log(p) + (1.0 - y) * np.log1p(-p)).sum() / x.size
+    grad = (p - y) / (p * (1.0 - p)) / x.size * p * (1.0 - p)
+    return loss, grad
+
+
 class TestBce:
     def test_half_prediction(self):
-        out = T.bce(Tensor([[0.5]]), np.array([[1.0]]))
+        out = T.bce(Tensor([[0.0]]), np.array([[1.0]]))
         npt.assert_allclose(out.item(), math.log(2), rtol=1e-12)
 
-    def test_perfect_prediction_clamp_floor(self):
+    def test_perfect_prediction_near_zero(self):
         target = np.array([[0.0, 1.0], [1.0, 0.0]])
-        out = T.bce(Tensor(target), target)
+        out = T.bce(Tensor(80.0 * target - 40.0), target)
         assert 0 <= out.item() < 1e-6
 
     def test_gradient(self):
         rng = np.random.default_rng(18)
-        pred = tensor(rng.uniform(0.05, 0.95, (3, 4)))
+        logits = tensor(rng.uniform(-4.0, 4.0, (3, 4)))
         target = rng.integers(0, 2, (3, 4)).astype(float)
-        err = grad_check(lambda p: T.bce(p, target), [pred])
+        err = grad_check(lambda x: T.bce(x, target), [logits])
         assert err <= 1e-5, err
 
     def test_shape_mismatch(self):
@@ -503,8 +512,31 @@ class TestBce:
             T.bce(Tensor(np.zeros((2, 2))), np.zeros((2, 3)))
 
     def test_confident_wrong_is_finite(self):
-        out = T.bce(Tensor([[1.0]]), np.array([[0.0]]))
-        assert np.isfinite(out.item())
+        x = tensor([[800.0, -800.0]])
+        out = T.bce(x, np.array([[0.0, 1.0]]))
+        npt.assert_allclose(out.item(), 800.0, rtol=1e-12)
+        T.backward(out)
+        npt.assert_array_equal(x.grad, [[0.5, -0.5]])  # +-1/n, n = 2
+
+    def test_confident_wrong_gradient_does_not_vanish(self):
+        # The probability clip gave exactly 0 here: sigmoid(+-30) lies outside
+        # [1e-7, 1 - 1e-7].
+        x = tensor([[30.0, -30.0]])
+        T.backward(T.bce(x, np.array([[0.0, 1.0]])))
+        npt.assert_allclose(x.grad, [[0.5, -0.5]], rtol=0, atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-8.0, 8.0), st.integers(0, 1)),
+                    min_size=1, max_size=12))
+    def test_equals_the_probability_form_where_the_clip_was_inactive(self, pairs):
+        x = np.array([[v for v, _ in pairs]])
+        y = np.array([[float(t) for _, t in pairs]])
+        want_loss, want_grad = _parent_bce(x, y)
+        logits = tensor(x)
+        out = T.bce(logits, y)
+        T.backward(out)
+        assert abs(out.item() - want_loss) <= 1e-12 * abs(want_loss)
+        npt.assert_allclose(logits.grad, want_grad, rtol=1e-12, atol=0)
 
 
 class TestBackward:
@@ -523,7 +555,7 @@ class TestBackward:
 
         def f(x, w1, w2):
             h = T.gelu(T.matmul(x, w1))
-            return T.bce(T.sigmoid(T.matmul(h, w2)), np.ones((3, 1)))
+            return T.bce(T.matmul(h, w2), np.ones((3, 1)))
 
         err = grad_check(f, [tensor(rng.standard_normal((3, 4))),
                              tensor(rng.standard_normal((4, 5))),

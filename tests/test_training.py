@@ -74,7 +74,7 @@ class TestPatchLabels:
 class TestLoss:
     def _pred(self, patch, pixel_logit, cfg):
         return type("P", (), {
-            "patch_probs": Tensor(np.full((cfg.n_patches, 1), patch)),
+            "patch_logits": Tensor(np.full((cfg.n_patches, 1), patch)),
             "pixel_logits": Tensor(np.full((cfg.image_h, cfg.image_w, 1),
                                            pixel_logit)),
         })()
@@ -83,7 +83,7 @@ class TestLoss:
         cfg = ModelConfig(image_h=16, image_w=16, patch_size=4, dim_fusion=16,
                           dim_vision=16, dim_language=16, vision_layers=1,
                           language_layers=1, fusion_layers=2, heads=2)
-        pred = self._pred(0.9, 0.0, cfg)
+        pred = self._pred(2.2, 0.0, cfg)
         y_p = np.ones((cfg.n_patches, 1))
         mask = np.ones((16, 16, 1))
         total, _, pixel = segmentation_loss(pred, y_p, mask, lam=0.0)
@@ -93,7 +93,7 @@ class TestLoss:
         cfg = ModelConfig(image_h=16, image_w=16, patch_size=4, dim_fusion=16,
                           dim_vision=16, dim_language=16, vision_layers=1,
                           language_layers=1, fusion_layers=2, heads=2)
-        pred = self._pred(0.5, 0.0, cfg)  # sigmoid(0) = 0.5 on the pixel side
+        pred = self._pred(0.0, 0.0, cfg)  # sigmoid(0) = 0.5 on both sides
         y_p = (np.random.default_rng(1).uniform(size=(cfg.n_patches, 1)) < 0.5
                ).astype(float)
         mask = (np.random.default_rng(2).uniform(size=(16, 16, 1)) < 0.5).astype(float)
@@ -107,11 +107,27 @@ class TestLoss:
         y_p = np.ones((cfg.n_patches, 1))
         mask = np.ones((16, 16, 1))
         pred = type("P", (), {
-            "patch_probs": Tensor(y_p * (1 - 1e-9)),
+            "patch_logits": Tensor(80.0 * y_p - 40.0),
             "pixel_logits": Tensor(np.full((16, 16, 1), 40.0)),
         })()
         total, _, _ = segmentation_loss(pred, y_p, mask, lam=0.1)
         assert 0.0 <= total.item() < 1e-6
+
+    def test_confident_wrong_pixel_keeps_its_gradient(self):
+        # A background pixel at logit 20: sigmoid(20) lies past the former
+        # probability clip's 1 - 1e-7, which gave it exactly zero gradient.
+        cfg = ModelConfig(image_h=16, image_w=16, patch_size=4, dim_fusion=16,
+                          dim_vision=16, dim_language=16, vision_layers=1,
+                          language_layers=1, fusion_layers=2, heads=2)
+        pred = self._pred(0.0, 0.0, cfg)
+        pred.pixel_logits = Tensor(np.zeros((16, 16, 1)), requires_grad=True)
+        pred.pixel_logits.data[3, 5, 0] = 20.0
+        mask = np.ones((16, 16, 1))
+        mask[3, 5, 0] = 0.0
+        total, _, _ = segmentation_loss(pred, np.ones((cfg.n_patches, 1)), mask, lam=0.1)
+        T.backward(total)
+        grad = pred.pixel_logits.grad[3, 5, 0]
+        npt.assert_allclose(grad, 1.0 / (1.0 + math.exp(-20.0)) / 256, rtol=1e-12)
 
 
 class TestLrSchedule:
