@@ -23,15 +23,15 @@ import numpy as np
 
 from . import data as dsmod
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .decoder import init_model
+from .decoder import attention_probe, init_model
 from .encoders import ModelConfig
-from .fusion import FusionVariant, attention_probe, profile_all
+from .fusion import FusionVariant, profile_all
 from .gradcheck import check_all_ops, check_model_gradients
 from .metrics import DEFAULT_BUCKETS, evaluate_model
 from .render import render_sample
 from .runconfig import (ALL_KEYS, UsageError, build_configs, load_config_file,
                         parse_config_text, serialize_model_config)
-from .training import AdamW, NonFiniteLossError, TrainConfig, check_stop_at_iou, train
+from .training import AdamW, NonFiniteLossError, TrainConfig, check_stop_settings, train
 from .transformer import ConfigError
 
 LAMBDA_GRID = (0.01, 0.05, 0.1, 0.5, 1.0)
@@ -172,7 +172,7 @@ def cmd_train(args) -> int:
     optimizer = AdamW(params.named_parameters(), train_cfg)
     if opt_state is not None:
         optimizer.load_state(opt_state)
-    check_stop_at_iou(args.stop_at_iou, train_cfg)
+    check_stop_settings(args.stop_at_iou, args.stop_after, train_cfg)
     out = Path(args.out)  # made only once the input is accepted
     out.mkdir(parents=True, exist_ok=True)
 
@@ -266,6 +266,8 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_profile(args) -> int:
+    if args.probe_samples < 0:
+        raise UsageError(f"--probe-samples must be >= 0, got {args.probe_samples}")
     overrides = _collect_overrides(args)
     model_cfg, _ = build_configs(overrides)
     print("variant,params,macs")
@@ -274,12 +276,10 @@ def cmd_profile(args) -> int:
     if args.probe_samples > 0:
         rng = np.random.default_rng(0)
         params = init_model(rng, model_cfg)
-        samples = []
-        for _ in range(args.probe_samples):
-            image = rng.uniform(0.0, 1.0, (model_cfg.image_h, model_cfg.image_w,
-                                           model_cfg.channels))
-            ids = [int(v) for v in rng.integers(2, model_cfg.vocab_size, size=4)]
-            samples.append((image, ids))
+        shape = (model_cfg.image_h, model_cfg.image_w, model_cfg.channels)
+        samples = ((rng.uniform(0.0, 1.0, shape),
+                    [int(v) for v in rng.integers(2, model_cfg.vocab_size, size=4)])
+                   for _ in range(args.probe_samples))
         stats = attention_probe(params, model_cfg, samples)
         print(f"# seed attention, variant={model_cfg.fusion_variant.value}")
         print(stats)

@@ -15,14 +15,15 @@ unchanged: ``upsample(x) @ w + b == upsample(x @ w + b)``. In float64 the
 two orders agree to rounding. The upsample then carries half the channels.
 
 Every stage takes a batch: token tensors are (..., tokens, dim), and
-``forward`` runs B images with their expressions as one graph.
+``forward`` runs B images with their expressions as one graph. ``encode``
+wires the token stages, for ``forward`` and ``attention_probe`` alike.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,7 +31,8 @@ from . import tensor as T
 from .tensor import Tensor
 from .encoders import (LanguageParams, ModelConfig, VisionParams, init_language,
                        init_vision, language_encode, vision_encode)
-from .fusion import FusionParams, fuse, init_fusion, project
+from .fusion import (AttnStats, FusionParams, FusionVariant, LayerAttention, fuse,
+                     init_fusion, project)
 from .transformer import ConfigError, Linear, Params, _weight, _zeros
 
 
@@ -137,3 +139,34 @@ def forward(images: np.ndarray, token_ids: Sequence[Sequence[int]], params: Rest
     pv, masked, patch_logits = encode(images, token_ids, params, cfg)
     return PredictionPair(patch_logits=patch_logits,
                           pixel_logits=decode_pixels(pv, masked, params.decoder, cfg))
+
+
+def _seed_row_shares(attn: np.ndarray, n_v: int) -> np.ndarray:
+    """(a_v-or-nan, a_l, a_self) of the last (seed) row of (..., H, N, N) attention
+    whose first ``n_v`` tokens are visual, averaged over samples and heads."""
+    seed = attn[..., -1, :].reshape(-1, attn.shape[-1])
+    a_v = seed[:, :n_v].sum(axis=1).mean() if n_v else math.nan
+    return np.array([a_v, seed[:, n_v:-1].sum(axis=1).mean(), seed[:, -1].mean()])
+
+
+def attention_probe(params: RestrParams, cfg: ModelConfig,
+                    samples: Iterable[tuple]) -> AttnStats:
+    """Softmax mass of the class seed's row per fusion layer, split into
+    visual / linguistic / self and averaged over heads and ``(image,
+    token_ids)`` samples. Each sample runs ``encode`` alone, whose last
+    attending stage is ``fuse``: VME reads all its maps, the other variants
+    ``stack_b``'s half."""
+    vme = params.fusion.variant is FusionVariant.VME
+    n_maps, n_v = (cfg.fusion_layers, cfg.n_patches) if vme else (cfg.fusion_layers // 2, 0)
+    totals, n_samples = np.zeros((n_maps, 3)), 0
+    with T.no_grad():
+        for n_samples, (image, ids) in enumerate(samples, 1):
+            with T.attention_maps() as maps:
+                encode(np.asarray(image)[None], [ids], params, cfg)
+            totals += [_seed_row_shares(a, n_v) for a in maps[-n_maps:]]
+    if not n_samples:
+        raise ValueError("attention_probe needs at least one sample")
+    return AttnStats(variant=params.fusion.variant, layers=[
+        LayerAttention(layer=i, a_v=None if np.isnan(a_v) else float(a_v),
+                       a_l=float(a_l), a_self=float(a_self))
+        for i, (a_v, a_l, a_self) in enumerate(totals / n_samples)])

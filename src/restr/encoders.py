@@ -3,15 +3,16 @@
 The vision side splits each image into non-overlapping patches, embeds each
 with a linear projection, adds a learned positional table, and runs a
 transformer stack. The language side embeds token ids, adds a fixed
-sinusoidal positional table, and runs its own stack. Both stacks end with a
-terminal layer norm. Both encoders take a batch and return (B, tokens, dim).
+sinusoidal positional table sized to the padded ids it is given, and runs
+its own stack. Both stacks end with a terminal layer norm. Both encoders
+take a batch and return (B, tokens, dim).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -134,7 +135,6 @@ class VisionParams(Params):
 class LanguageParams(Params):
     embed: Tensor
     stack: StackParams
-    pos_table: np.ndarray = field(repr=False)  # sinusoidal, constant
 
 
 def init_vision(rng: np.random.Generator, cfg: ModelConfig) -> VisionParams:
@@ -151,7 +151,6 @@ def init_language(rng: np.random.Generator, cfg: ModelConfig) -> LanguageParams:
         embed=Tensor(trunc_normal(rng, (cfg.vocab_size, cfg.dim_language)),
                      requires_grad=True),
         stack=init_stack(rng, cfg.language_tfm()),
-        pos_table=sinusoidal_table(cfg.max_tokens, cfg.dim_language),
     )
 
 
@@ -203,7 +202,8 @@ def language_encode(token_ids: Sequence[Sequence[int]], params: LanguageParams,
     ids = np.array([pad_token_ids(seq, cfg) for seq in token_ids], dtype=np.int64)
     onehot = (ids[..., None] == np.arange(cfg.vocab_size)).astype(np.float64)
     emb = T.matmul(Tensor(onehot), params.embed)
-    return encoder_stack(emb + Tensor(params.pos_table), params.stack)
+    pos = Tensor(sinusoidal_table(ids.shape[1], cfg.dim_language))
+    return encoder_stack(emb + pos, params.stack)
 
 
 def save_vocab(tokens: Sequence[str], path) -> None:

@@ -1,5 +1,5 @@
-"""Multimodal fusion encoder: class seed embedding, variant topologies,
-attention probing, and the params/MACs profiler.
+"""Multimodal fusion encoder: class seed embedding, variant topologies, the
+result types of :func:`restr.decoder.attention_probe`, and the params/MACs profiler.
 
 All variants share the same two projected inputs and the same parameter
 budget: two sub-encoders, ``stack_a`` and ``stack_b``, of ``fusion_layers/2``
@@ -22,9 +22,8 @@ CME and IME take the patch features from ``stack_a``.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -125,10 +124,6 @@ def fuse(z_v: Tensor, z_l: Tensor, params: FusionParams) -> tuple[Tensor, Tensor
             T.slice_axis(seeded, -2, n_b - 1, n_b))
 
 
-# ---------------------------------------------------------------------------
-# attention probe
-# ---------------------------------------------------------------------------
-
 @dataclass
 class LayerAttention:
     """Seed-row attention mass per fusion layer, averaged over heads/samples.
@@ -157,55 +152,6 @@ class AttnStats:
 
     def __str__(self) -> str:
         return "\n".join(self.csv_rows())
-
-
-def _seed_row_shares(attn: np.ndarray, n_v: int, n_l: int) -> np.ndarray:
-    """(a_v-or-nan, a_l, a_self) of the seed row of (..., H, N, N) attention,
-    averaged over every leading axis (samples and heads)."""
-    seed = attn[..., n_v + n_l, :].reshape(-1, attn.shape[-1])
-    a_v = seed[:, :n_v].sum(axis=1).mean() if n_v else math.nan
-    return np.array([a_v, seed[:, n_v:n_v + n_l].sum(axis=1).mean(),
-                     seed[:, n_v + n_l].mean()])
-
-
-def attention_probe(params, cfg: "ModelConfig",
-                    samples: Iterable[tuple]) -> AttnStats:
-    """Measure where the class seed attends, per fusion layer.
-
-    ``params`` is the full model parameter bundle; ``samples`` yield
-    ``(image, token_ids)`` pairs. Scores are softmax mass from the seed row,
-    split into visual / linguistic / self segments, averaged over heads and
-    samples. Samples run one at a time, which bounds the memory of the
-    attention arrays kept for the probe.
-    """
-    from .encoders import language_encode, vision_encode  # runtime import: encoders
-    # imports FusionVariant from this module, so the top level must stay one-way
-
-    fp: FusionParams = params.fusion
-    totals: list[np.ndarray] | None = None
-    n_samples = 0
-    with T.no_grad():
-        for image, ids in samples:
-            z_v = vision_encode(np.asarray(image)[None], params.vision, cfg)
-            z_l = language_encode([ids], params.language, cfg)
-            pv, pl = project(z_v, z_l, fp)
-            with T.attention_maps() as maps:
-                fuse(pv, pl, fp)
-            n_v, n_l = pv.shape[-2], pl.shape[-2]
-            if fp.variant is FusionVariant.VME:
-                shares = [_seed_row_shares(a, n_v, n_l) for a in maps]
-            else:  # stack_b's blocks, the second half of the maps
-                shares = [_seed_row_shares(a, 0, n_l) for a in maps[len(maps) // 2:]]
-            totals = shares if totals is None else [t + s for t, s in zip(totals, shares)]
-            n_samples += 1
-    if totals is None:
-        raise ValueError("attention_probe needs at least one sample")
-    layers = []
-    for i, acc in enumerate(totals):
-        a_v, a_l, a_self = acc / n_samples
-        layers.append(LayerAttention(layer=i, a_v=None if np.isnan(a_v) else float(a_v),
-                                     a_l=float(a_l), a_self=float(a_self)))
-    return AttnStats(variant=fp.variant, layers=layers)
 
 
 # ---------------------------------------------------------------------------

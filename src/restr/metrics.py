@@ -56,7 +56,7 @@ def prec_at(ious: Sequence[float], threshold: float) -> float:
 
 
 def parse_buckets(spec: str) -> list[tuple[int, int]]:
-    """Parse "1-2,3,4-5,6-20" into inclusive (lo, hi) ranges."""
+    """Parse "1-2,3,4-5,6-20" into disjoint inclusive (lo, hi) ranges, in any order."""
     buckets = []
     for part in spec.split(","):
         part = part.strip()
@@ -68,11 +68,15 @@ def parse_buckets(spec: str) -> list[tuple[int, int]]:
     for lo, hi in buckets:
         if lo < 1 or hi < lo:
             raise ValueError(f"invalid bucket range {lo}-{hi} in {spec!r}")
+    ranked = sorted(buckets)
+    for (lo, hi), (lo2, hi2) in zip(ranked, ranked[1:]):
+        if lo2 <= hi:
+            raise ValueError(f"bucket ranges {lo}-{hi} and {lo2}-{hi2} overlap in {spec!r}")
     return buckets
 
 
 def _bucket_of(length: int, buckets: Sequence[tuple[int, int]]) -> tuple[int, int]:
-    """The first bucket that holds ``length``."""
+    """The bucket that holds ``length``."""
     for b in buckets:
         if b[0] <= length <= b[1]:
             return b

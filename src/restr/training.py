@@ -273,8 +273,11 @@ def decoded_backward(iteration: int, images: np.ndarray, token_ids: Sequence,
     return terms.mean(axis=0).tolist()
 
 
-def check_stop_at_iou(stop_at_iou: float | None, cfg: TrainConfig) -> None:
-    """Raise ValueError unless :func:`train` can stop at ``stop_at_iou``."""
+def check_stop_settings(stop_at_iou: float | None, stop_after: int | None,
+                        cfg: TrainConfig) -> None:
+    """Raise ValueError unless :func:`train` can honour both stop settings."""
+    if stop_after is not None and stop_after < 1:
+        raise ValueError(f"stop_after must be >= 1, got {stop_after}")
     if stop_at_iou is None:
         return
     if not 0.0 < stop_at_iou <= 1.0:
@@ -309,7 +312,7 @@ def train(params: RestrParams, model_cfg: ModelConfig, cfg: TrainConfig,
 
     if not dataset:
         raise ValueError("train needs a nonempty dataset")
-    check_stop_at_iou(stop_at_iou, cfg)
+    check_stop_settings(stop_at_iou, stop_after, cfg)
 
     def eval_iou() -> float:
         preds = predicted_masks(params, model_cfg, dataset, use_decoder=use_decoder)

@@ -17,11 +17,10 @@ import pytest
 import restr.tensor as T
 from restr.cli import main
 from restr.data import generate
-from restr.decoder import (decoder_channel_chain, init_model, mask_features,
-                           patch_predict)
+from restr.decoder import (attention_probe, decoder_channel_chain, init_model,
+                           mask_features, patch_predict)
 from restr.encoders import ModelConfig, language_encode, vision_encode
-from restr.fusion import (FusionVariant, attention_probe, fuse, init_fusion, profile,
-                          project)
+from restr.fusion import FusionVariant, fuse, init_fusion, profile, project
 from restr.gradcheck import check_all_ops, check_model_gradients
 from restr.metrics import (cumulative_iou, evaluate_model, intersection_union,
                            parse_buckets, prec_at, predicted_masks)

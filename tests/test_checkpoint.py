@@ -313,6 +313,5 @@ class TestParameterTree:
         assert named["fusion.proj_v.ln.gain"] is params.fusion.proj_v.ln.gain
         assert named["vision.stack.blocks.0.mlp.w1"] is params.vision.stack.blocks[0].mlp.w1
         assert named["decoder.blocks.1.b"] is params.decoder.blocks[1].b
-        # Shared blocks are listed once; constant tables are not parameters.
+        # Shared blocks are listed once.
         assert not any(n.startswith("fusion.stack_a.blocks.1.") for n in named)
-        assert not any("pos_table" in n for n in named)

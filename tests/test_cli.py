@@ -138,6 +138,15 @@ class TestTrain:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()  # rejected input leaves no --out
 
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_stop_after_below_one_rejected(self, tmp_path, dataset_dir, capsys, value):
+        # these used to exit 0 with an untrained checkpoint and a header-only log
+        assert main(["train", "--data", str(dataset_dir), "--out", str(tmp_path / "o"),
+                     "--quiet", "--total_iters", "4", *TRAIN_FLAGS,
+                     "--stop-after", value]) == 1
+        assert f"stop_after must be >= 1, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["train", "profile"])
     def test_unknown_fusion_variant_names_the_valid_ones(self, tmp_path, dataset_dir,
                                                          capsys, command):
@@ -331,6 +340,14 @@ class TestEval:
                      "--data", str(dataset_dir), "--buckets", "1-2"]) == 1
         assert "not covered by" in capsys.readouterr().err
 
+    def test_overlapping_buckets_fail_before_forward(self, trained, dataset_dir,
+                                                     monkeypatch, capsys):
+        # this used to exit 0 and report every length from 3 to 5 under 1-5 alone
+        monkeypatch.setattr(decoder, "encode", no_forward)
+        assert main(["eval", "--ckpt", str(trained / "checkpoint.rstr"),
+                     "--data", str(dataset_dir), "--buckets", "1-5,3-20"]) == 1
+        assert "bucket ranges 1-5 and 3-20 overlap" in capsys.readouterr().err
+
     @pytest.mark.parametrize("misfit", ["vocab", "size"])
     def test_dataset_the_model_does_not_fit(self, tmp_path, trained, misfit_data,
                                             misfit, monkeypatch, capsys):
@@ -483,6 +500,13 @@ class TestProfileCmd:
                      "--probe-samples", "2"]) == 0
         out = capsys.readouterr().out
         assert "layer,a_v,a_l,a_self" in out and "f1," in out
+
+    def test_negative_probe_samples_rejected(self, capsys):
+        # this used to exit 0 and skip the probe
+        assert main(["profile", *PROFILE_FLAGS, "--probe-samples", "-3"]) == 1
+        captured = capsys.readouterr()
+        assert "--probe-samples must be >= 0, got -3" in captured.err
+        assert captured.out == ""
 
 
 class TestAblateCmd:

@@ -1,5 +1,6 @@
 """Segmentation decoder: patch classifier, feature gating, pixel decoding."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -226,3 +227,18 @@ class TestForward:
             params = init_model(np.random.default_rng(14), cfg)
             pred = forward(img[None], [[2, 3]], params, cfg)
             assert pred.pixel_logits.shape == (1, 16, 16, 1)
+
+    def test_parameters_do_not_fix_max_tokens(self):
+        # A model built at 20 tokens runs at 30 and matches one built at 30.
+        cfg20, cfg30 = tiny_cfg(max_tokens=20), tiny_cfg(max_tokens=30)
+        params20 = init_model(np.random.default_rng(15), cfg20)
+        params30 = init_model(np.random.default_rng(15), cfg30)
+        for (name, a), (_, b) in zip(params20.named_parameters(),
+                                     params30.named_parameters()):
+            npt.assert_array_equal(a.data, b.data, err_msg=name)
+        img = np.random.default_rng(16).uniform(size=(2, 16, 16, 3))
+        ids = [[2, 3, 4], [5]]
+        got = forward(img, ids, params20, dataclasses.replace(cfg20, max_tokens=30))
+        want = forward(img, ids, params30, cfg30)
+        assert np.array_equal(got.patch_logits.data, want.patch_logits.data)
+        assert np.array_equal(got.pixel_logits.data, want.pixel_logits.data)

@@ -218,7 +218,8 @@ class TestLanguageEncode:
         assert peak < 8 * 2**20
         padded = np.array([pad_token_ids(ids[0], cfg)])
         emb = T.matmul(Tensor(np.eye(cfg.vocab_size)[padded]), params.embed)
-        expected = encoder_stack(emb + Tensor(params.pos_table), params.stack).data
+        pos = Tensor(sinusoidal_table(cfg.max_tokens, cfg.dim_language))
+        expected = encoder_stack(emb + pos, params.stack).data
         npt.assert_array_equal(out, expected)
 
     def test_truncation_warns(self, cfg):

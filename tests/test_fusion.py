@@ -7,9 +7,10 @@ import numpy.testing as npt
 import pytest
 
 import restr.tensor as T
-from restr.encoders import ModelConfig
-from restr.fusion import (FusionVariant, attention_probe, fuse, init_fusion, profile,
-                          profile_all, project)
+from restr.decoder import attention_probe, init_model
+from restr.encoders import ModelConfig, language_encode, vision_encode
+from restr.fusion import (AttnStats, FusionVariant, LayerAttention, fuse, init_fusion,
+                          profile, profile_all, project)
 from restr.gradcheck import grad_check
 from restr.tensor import Tensor
 from restr.transformer import encoder_stack
@@ -224,6 +225,32 @@ class TestDispatchAndSharing:
         assert params.stack_a.blocks[0] is not params.stack_b.blocks[0]
 
 
+def hand_wired_probe(params, cfg, samples):
+    """The probe wired stage by stage: each sample's fusion maps alone,
+    with the seed after ``n_v`` visual and ``n_l`` linguistic tokens."""
+    vme = params.fusion.variant is FusionVariant.VME
+    acc = 0.0
+    with T.no_grad():
+        for image, ids in samples:
+            z_v = vision_encode(np.asarray(image)[None], params.vision, cfg)
+            z_l = language_encode([ids], params.language, cfg)
+            pv, pl = project(z_v, z_l, params.fusion)
+            with T.attention_maps() as maps:
+                fuse(pv, pl, params.fusion)
+            n_v, n_l = (pv.shape[-2] if vme else 0), pl.shape[-2]
+            shares = []
+            for attn in (maps if vme else maps[len(maps) // 2:]):
+                seed = attn[..., n_v + n_l, :].reshape(-1, attn.shape[-1])
+                a_v = seed[:, :n_v].sum(axis=1).mean() if n_v else np.nan
+                shares.append([a_v, seed[:, n_v:n_v + n_l].sum(axis=1).mean(),
+                               seed[:, n_v + n_l].mean()])
+            acc = acc + np.array(shares)
+    return AttnStats(variant=params.fusion.variant, layers=[
+        LayerAttention(layer=i, a_v=None if np.isnan(a_v) else float(a_v),
+                       a_l=float(a_l), a_self=float(a_self))
+        for i, (a_v, a_l, a_self) in enumerate(acc / len(samples))])
+
+
 class TestAttentionProbe:
     @pytest.mark.parametrize("variant", [v.value for v in FusionVariant])
     def test_fuse_yields_one_map_per_layer_stack_a_first(self, variant):
@@ -256,7 +283,6 @@ class TestAttentionProbe:
         assert abs(seed_row[:n_v].sum() - expected_v) < 0.05
 
     def test_probe_segments_sum_to_one(self):
-        from restr.decoder import init_model
         cfg = make_cfg("vme")
         params = init_model(np.random.default_rng(19), cfg)
         rng = np.random.default_rng(20)
@@ -268,7 +294,6 @@ class TestAttentionProbe:
             assert abs(layer.a_v + layer.a_l + layer.a_self - 1.0) < 1e-6
 
     def test_probe_cme_reports_no_visual_segment(self):
-        from restr.decoder import init_model
         cfg = make_cfg("cme")
         params = init_model(np.random.default_rng(21), cfg)
         rng = np.random.default_rng(22)
@@ -280,7 +305,6 @@ class TestAttentionProbe:
             assert abs(layer.a_l + layer.a_self - 1.0) < 1e-6
 
     def test_csv_rows(self):
-        from restr.decoder import init_model
         cfg = make_cfg("vme")
         params = init_model(np.random.default_rng(23), cfg)
         rng = np.random.default_rng(24)
@@ -289,6 +313,16 @@ class TestAttentionProbe:
         rows = stats.csv_rows()
         assert rows[0] == "layer,a_v,a_l,a_self"
         assert rows[1].startswith("f1,")
+
+    @pytest.mark.parametrize("variant", [v.value for v in FusionVariant])
+    def test_probe_equals_hand_wired_stages(self, variant):
+        cfg = make_cfg(variant, fusion_layers=4)
+        params = init_model(np.random.default_rng(25), cfg)
+        rng = np.random.default_rng(26)
+        samples = [(rng.uniform(size=(16, 16, 3)), ids) for ids in ([2, 3, 4], [5], [6, 7])]
+        stats = attention_probe(params, cfg, samples)
+        assert len(stats.layers) == (4 if variant == "vme" else 2)
+        assert stats == hand_wired_probe(params, cfg, samples)
 
 
 class TestProfile:

@@ -118,6 +118,17 @@ class TestBuckets:
         with pytest.raises(ValueError):
             parse_buckets("0-3")
 
+    @pytest.mark.parametrize("spec,first,second", [
+        ("1-5,3-7", "1-5", "3-7"), ("3,3", "3-3", "3-3"), ("4-9,1-4", "1-4", "4-9"),
+        ("1-2,6-20,2-2", "1-2", "2-2")])
+    def test_parse_rejects_overlapping_ranges(self, spec, first, second):
+        # the first range that held a length took it, so the report mislabeled it
+        with pytest.raises(ValueError, match=f"bucket ranges {first} and {second} overlap"):
+            parse_buckets(spec)
+
+    def test_disjoint_ranges_in_any_order(self):
+        assert parse_buckets("6-20,3,1-2,4-5") == [(6, 20), (3, 3), (1, 2), (4, 5)]
+
     def test_single_bucket_equals_overall(self):
         rng = np.random.default_rng(1)
         ius = [(int(i), int(u)) for i, u in

@@ -346,6 +346,15 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match=message):
             train(params, cfg, tc, ds.samples, stop_at_iou=stop_at_iou)
 
+    @pytest.mark.parametrize("stop_after", [0, -2])
+    def test_stop_after_below_one_rejected(self, setup, stop_after):
+        # these used to return without a step and leave the model untrained
+        cfg, ds = setup
+        params = init_model(np.random.default_rng(6), cfg)
+        tc = TrainConfig(warmup_iters=0, total_iters=1, batch_size=2)
+        with pytest.raises(ValueError, match=f"stop_after must be >= 1, got {stop_after}"):
+            train(params, cfg, tc, ds.samples, stop_after=stop_after)
+
 
 class TestTrainLog:
     def test_norm_time_and_throughput(self, setup, tmp_path):
